@@ -67,10 +67,10 @@ struct FleetOptions {
   /// Absolute run() milestones each batch member reaches before any
   /// member runs to completion (the interleaving step). Empty = one
   /// run() to completion per kernel.
-  std::vector<Time> windows;
+  std::vector<Time> windows{};
   /// Wall-clock watchdog per run() call (RunOptions::wall_limit_ms);
   /// nullopt inherits each kernel's config.
-  std::optional<std::uint64_t> wall_limit_ms;
+  std::optional<std::uint64_t> wall_limit_ms{};
 };
 
 enum class ScenarioStatus {

@@ -1,13 +1,14 @@
-// Sanitizer fiber annotations for the ucontext-based stackful processes.
+// Sanitizer fiber annotations for the stackful processes.
 //
-// AddressSanitizer tracks one stack per OS thread; every swapcontext between
-// a scheduler stack and a process stack must be bracketed with
-// __sanitizer_start_switch_fiber / __sanitizer_finish_switch_fiber or ASan
-// corrupts its shadow on the first throw/no-return inside a fiber.
+// AddressSanitizer tracks one stack per OS thread; every tdsim_fiber_switch
+// (kernel/fiber_switch.h) between a scheduler stack and a process stack
+// must be bracketed with __sanitizer_start_switch_fiber /
+// __sanitizer_finish_switch_fiber or ASan corrupts its shadow on the first
+// throw/no-return inside a fiber.
 //
 // ThreadSanitizer likewise keeps per-"fiber" shadow state: each process
 // stack owns a __tsan_create_fiber handle, and every switch announces the
-// destination with __tsan_switch_to_fiber immediately before swapcontext.
+// destination with __tsan_switch_to_fiber immediately before the switch.
 // This matters doubly since parallel per-domain execution: a fiber may
 // suspend on one worker thread and resume on another, and the annotations
 // (with the default synchronizing flags) both keep TSan's stacks straight
@@ -17,7 +18,7 @@
 //
 // Switch protocol (all tdsim switches are scheduler <-> fiber, never
 // fiber <-> fiber):
-//   * before swapcontext: start_switch(&save, dest_bottom, dest_size,
+//   * before tdsim_fiber_switch: start_switch(&save, dest_bottom, dest_size,
 //     dest_tsan_fiber); pass save == nullptr when the departing stack is
 //     about to die (the trampoline's final switch), so ASan frees its fake
 //     stack. dest_tsan_fiber is the destination's TSan handle: the

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "kernel/fiber_sanitizer.h"
+#include "kernel/fiber_switch.h"
 #include "kernel/quantum_controller.h"
 #include "kernel/report.h"
 #include "kernel/scheduler.h"
@@ -2146,7 +2147,7 @@ void Kernel::dispatch_thread(Process* p) {
   Process* previous = std::exchange(exec.current_process, p);
   fiber::start_switch(&exec.scheduler_fake_stack, p->stack_bottom(),
                       p->stack_usable_size(), p->tsan_fiber_);
-  swapcontext(&exec.scheduler_context, &p->context_);
+  tdsim_fiber_switch(&exec.scheduler_context, p->context_);
   fiber::finish_switch(exec.scheduler_fake_stack, nullptr, nullptr);
   exec.current_process = previous;
   if (p->state_ == ProcessState::Terminated) {
@@ -2203,7 +2204,7 @@ void Kernel::yield_current_thread() {
   Process* p = from.current_process;
   fiber::start_switch(&p->fake_stack_, from.scheduler_stack_bottom,
                       from.scheduler_stack_size, from.tsan_fiber);
-  swapcontext(&p->context_, &from.scheduler_context);
+  tdsim_fiber_switch(&p->context_, from.scheduler_context);
   // Resumed -- in parallel mode possibly under a different worker's
   // execution context; re-read the thread-local before refreshing the
   // scheduler-stack bookkeeping.
@@ -2349,7 +2350,7 @@ void Kernel::kill_all_threads() {
       Process* previous = std::exchange(main_exec_.current_process, p.get());
       fiber::start_switch(&main_exec_.scheduler_fake_stack, p->stack_bottom(),
                           p->stack_usable_size(), p->tsan_fiber_);
-      swapcontext(&main_exec_.scheduler_context, &p->context_);
+      tdsim_fiber_switch(&main_exec_.scheduler_context, p->context_);
       fiber::finish_switch(main_exec_.scheduler_fake_stack, nullptr, nullptr);
       main_exec_.current_process = previous;
       if (p->state_ != ProcessState::Terminated) {
@@ -2489,14 +2490,15 @@ void Kernel::arm_faults(FaultPlan plan) {
     }
   }
   fault_plan_ = std::move(plan);
-  fault_fired_.assign(fault_plan_.actions.size(), 0);
+  fault_fired_ =
+      std::make_unique<std::atomic<bool>[]>(fault_plan_.actions.size());
   faults_pending_.store(fault_plan_.actions.size(),
                         std::memory_order_relaxed);
 }
 
 void Kernel::apply_faults(Process& p) {
   for (std::size_t i = 0; i < fault_plan_.actions.size(); ++i) {
-    if (fault_fired_[i] != 0) {
+    if (fault_fired_[i].load(std::memory_order_relaxed)) {
       continue;
     }
     const FaultAction& action = fault_plan_.actions[i];
@@ -2505,10 +2507,13 @@ void Kernel::apply_faults(Process& p) {
       continue;
     }
     // Latch before acting: a fault fires (or is consumed) exactly once.
-    // Only the thread dispatching the trigger process writes here, and a
-    // process is dispatched by one thread at a time (scheduler-serialized
-    // within its group), so relaxed ordering suffices.
-    fault_fired_[i] = 1;
+    // Groups free-running on different workers scan every latch
+    // concurrently, so the claim is one atomic exchange; whoever flips
+    // the latch fires the action. Relaxed suffices: the latch orders
+    // nothing but itself.
+    if (fault_fired_[i].exchange(true, std::memory_order_relaxed)) {
+      continue;
+    }
     faults_pending_.fetch_sub(1, std::memory_order_relaxed);
     switch (action.kind) {
       case FaultAction::Kind::Throw: {

@@ -100,7 +100,7 @@ struct RunOptions {
   /// Wall-clock watchdog budget for this call, in milliseconds; overrides
   /// KernelConfig::wall_limit_ms (0 = explicitly disabled for this call,
   /// nullopt = inherit the config). See kernel_config.h.
-  std::optional<std::uint64_t> wall_limit_ms;
+  std::optional<std::uint64_t> wall_limit_ms{};
 };
 
 /// Options for spawning a method process.
@@ -535,8 +535,8 @@ class Kernel {
     }
   };
 
-  /// Per-OS-thread fiber dispatch state: the scheduler-side ucontext plus
-  /// the sanitizer bookkeeping for the stack that context lives on. The
+  /// Per-OS-thread fiber dispatch state: the scheduler's saved stack
+  /// pointer plus the sanitizer bookkeeping for that stack. The
   /// sequential scheduler owns one (main_exec_); in parallel mode each
   /// group execution gets its own, so fibers can suspend under one worker
   /// and resume under another with a consistent stack discipline (the
@@ -550,7 +550,9 @@ class Kernel {
     /// Bundled here so the synchronization hot path resolves process and
     /// stats in a single thread-local read (sync_context()).
     KernelStats* stats = nullptr;
-    ucontext_t scheduler_context{};
+    /// The scheduler stack's saved stack pointer while a fiber runs (see
+    /// kernel/fiber_switch.h).
+    void* scheduler_context = nullptr;
     /// Scheduler (OS thread) stack bounds, learned each time a fiber
     /// resumes and reports where it came from; used when switching back.
     const void* scheduler_stack_bottom = nullptr;
@@ -849,14 +851,15 @@ class Kernel {
   bool watchdog_armed_ = false;
   std::chrono::steady_clock::time_point watchdog_deadline_{};
   std::uint64_t watchdog_limit_ms_ = 0;
-  /// Armed chaos plan + per-action fired latches (see arm_faults()).
+  /// Armed chaos plan + per-action fired latches (see arm_faults()). The
+  /// latches are atomic: free-running groups on different workers scan
+  /// them concurrently, and a claim is one exchange.
   FaultPlan fault_plan_;
-  std::vector<char> fault_fired_;
+  std::unique_ptr<std::atomic<bool>[]> fault_fired_;
   /// Lock-free gate for the dispatch hot path: number of armed, not yet
   /// fired actions. Zero on every kernel without a plan -- dispatch then
-  /// pays one relaxed load. (Fired-latch updates happen on whichever
-  /// thread dispatches the trigger process; the count is only decremented
-  /// there too, and the trigger process itself is scheduler-serialized.)
+  /// pays one relaxed load. (Decremented by whichever thread claims a
+  /// latch, once per action.)
   std::atomic<std::size_t> faults_pending_{0};
 
   std::vector<std::unique_ptr<Process>> processes_;
@@ -875,8 +878,8 @@ class Kernel {
   /// read of t_exec_/t_task_ that can happen after a suspension point MUST
   /// go through these noinline accessors. Were the reads inlined, the
   /// compiler could legally cache the TLS slot's address across a
-  /// swapcontext -- and a fiber resumed on a different worker would then
-  /// read (and race on) the *original* thread's slot.
+  /// tdsim_fiber_switch call -- and a fiber resumed on a different worker
+  /// would then read (and race on) the *original* thread's slot.
   __attribute__((noinline)) static ExecContext* thread_exec();
   __attribute__((noinline)) static GroupTask* thread_task();
 

@@ -76,26 +76,26 @@ namespace tdsim {
 struct KernelConfig {
   /// Worker threads for parallel per-domain execution (Kernel quota on
   /// the process-wide Scheduler). 0/1 = sequential. Default 0.
-  std::optional<std::size_t> workers;
+  std::optional<std::size_t> workers{};
 
   /// Chunk capacity channels adopt at construction; 0/1 = per-element.
   /// Default 0.
-  std::optional<std::size_t> default_chunk_capacity;
+  std::optional<std::size_t> default_chunk_capacity{};
 
   /// Seed a default QuantumPolicy on every created domain. Default false.
-  std::optional<bool> adaptive_quantum;
+  std::optional<bool> adaptive_quantum{};
 
   /// Depth of the per-domain adaptive-decision trace ring (>= 1).
   /// Default kQuantumTraceDepth (8).
-  std::optional<std::size_t> quantum_trace_depth;
+  std::optional<std::size_t> quantum_trace_depth{};
 
   /// Max timed waves per free-running lookahead extension; 0 disables
   /// free-running. Default 64. (No environment variable.)
-  std::optional<std::size_t> lookahead_limit;
+  std::optional<std::size_t> lookahead_limit{};
 
   /// Kernel-wide delta-cycle livelock limit; 0 = unlimited. Default 0.
   /// (No environment variable.)
-  std::optional<std::uint64_t> delta_cycle_limit;
+  std::optional<std::uint64_t> delta_cycle_limit{};
 
   /// Wall-clock watchdog budget per run() call, in milliseconds; 0
   /// disables. Checked deterministically at synchronization horizons
@@ -105,18 +105,18 @@ struct KernelConfig {
   /// *decision to check* is deterministic; whether a given run trips
   /// obviously depends on the host. Override per call with
   /// RunOptions::wall_limit_ms.
-  std::optional<std::uint64_t> wall_limit_ms;
+  std::optional<std::uint64_t> wall_limit_ms{};
 
   /// Fiber stacks come from the process-wide pooled mmap allocator
   /// (kernel/stack_pool.h): size-classed recycling, 16-byte-aligned
   /// stack tops, optional guard pages. false = legacy per-process heap
   /// stacks. Default true.
-  std::optional<bool> pooled_stacks;
+  std::optional<bool> pooled_stacks{};
 
   /// Arm the PROT_NONE guard page below each pooled fiber stack so a
   /// stack overflow faults instead of corrupting a neighbour. Only
   /// meaningful with pooled_stacks. Default true.
-  std::optional<bool> stack_guard;
+  std::optional<bool> stack_guard{};
 
   /// The environment layer of the precedence stack: a config whose fields
   /// are set exactly where the corresponding TDSIM_* variable is set (and
@@ -153,7 +153,7 @@ struct DomainOptions {
 
   /// Adaptive quantum policy to attach at creation. nullopt still honors
   /// KernelConfig::adaptive_quantum's kernel-wide default seeding.
-  std::optional<QuantumPolicy> policy;
+  std::optional<QuantumPolicy> policy{};
 
   /// Per-domain delta-cycle livelock limit; 0 = inherit the kernel-wide
   /// limit only.

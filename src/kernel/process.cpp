@@ -1,10 +1,8 @@
 #include "kernel/process.h"
 
-#include <cstdint>
-
 #include "kernel/fiber_sanitizer.h"
+#include "kernel/fiber_switch.h"
 #include "kernel/kernel.h"
-#include "kernel/report.h"
 
 namespace tdsim {
 
@@ -24,7 +22,7 @@ Process::Process(Kernel& kernel, std::string name, ProcessKind kind,
 
 Process::~Process() {
   // A fiber that survived a kill request may still reference its stack
-  // through the suspended ucontext; everything else is safe to recycle.
+  // through its saved stack pointer; everything else is safe to recycle.
   release_stack(/*abandoned=*/thread_started_ &&
                 state_ != ProcessState::Terminated);
 }
@@ -58,10 +56,8 @@ void Process::release_stack(bool abandoned) {
   }
 }
 
-void Process::trampoline(unsigned hi, unsigned lo) {
-  auto* self = reinterpret_cast<Process*>(
-      (static_cast<std::uintptr_t>(hi) << 32) |
-      static_cast<std::uintptr_t>(lo));
+void Process::trampoline(void* arg) {
+  auto* self = static_cast<Process*>(arg);
   // First time on this fiber stack; we came from the dispatching execution
   // context's scheduler stack, whose bounds it needs for the switches back.
   // The context is resolved through the thread-local: in parallel mode the
@@ -86,23 +82,15 @@ void Process::trampoline(unsigned hi, unsigned lo) {
   Kernel::ExecContext* exec = Kernel::thread_exec();
   fiber::start_switch(nullptr, exec->scheduler_stack_bottom,
                       exec->scheduler_stack_size, exec->tsan_fiber);
-  swapcontext(&self->context_, &exec->scheduler_context);
+  tdsim_fiber_switch(&self->context_, exec->scheduler_context);
 }
 
 void Process::start_thread_context() {
-  if (getcontext(&context_) != 0) {
-    Report::error("getcontext failed for process " + name_);
-  }
-  context_.uc_stack.ss_sp = stack_bottom();
-  context_.uc_stack.ss_size = stack_usable_size();
-  // The trampoline's final explicit swapcontext is the only exit; uc_link
-  // must not pin one particular scheduler context (fibers may finish under
-  // a different worker than the one that started them).
-  context_.uc_link = nullptr;
-  const auto ptr = reinterpret_cast<std::uintptr_t>(this);
-  makecontext(&context_, reinterpret_cast<void (*)()>(&Process::trampoline), 2,
-              static_cast<unsigned>(ptr >> 32),
-              static_cast<unsigned>(ptr & 0xffffffffu));
+  // The trampoline's final switch is the only exit, back to whichever
+  // scheduler context is current then (fibers may finish under a different
+  // worker than the one that started them).
+  context_ = fiber::make_stack(stack_bottom(), stack_usable_size(),
+                               &Process::trampoline, this);
   tsan_fiber_ = fiber::tsan_create_fiber();
   thread_started_ = true;
 }

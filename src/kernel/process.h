@@ -2,8 +2,6 @@
 // run-to-completion methods (SC_METHOD analog).
 #pragma once
 
-#include <ucontext.h>
-
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -82,10 +80,11 @@ class Process {
           std::uint64_t id);
 
   void start_thread_context();
-  static void trampoline(unsigned hi, unsigned lo);
+  static void trampoline(void* self);
 
   /// Bottom of this thread's fiber stack (pooled block or legacy heap
-  /// allocation), as handed to makecontext and the sanitizer switches.
+  /// allocation), as handed to fiber::make_stack and the sanitizer
+  /// switches.
   char* stack_bottom() const {
     return stack_block_ ? stack_block_.sp : heap_stack_.get();
   }
@@ -146,7 +145,9 @@ class Process {
   /// Legacy per-process heap stack (TDSIM_STACK_POOL=0): kept as the
   /// comparison baseline for bench_scale's alloc-mode rows.
   std::unique_ptr<char[]> heap_stack_;
-  ucontext_t context_{};
+  /// Saved stack pointer while this fiber is switched away from (see
+  /// kernel/fiber_switch.h).
+  void* context_ = nullptr;
   bool thread_started_ = false;
   bool kill_requested_ = false;
   std::exception_ptr pending_exception_;

@@ -2,7 +2,7 @@
 // kernel (see README "Fleet / scheduler").
 //
 // A fiber-stack memcpy checkpoint of a running kernel would be hopelessly
-// fragile (ucontext stacks, TLS, sanitizer bookkeeping, raw pointers
+// fragile (saved stack pointers, TLS, sanitizer bookkeeping, raw pointers
 // everywhere). tdsim does not need one: the scheduler is deterministic, so
 // *replaying the construction log* reproduces the exact same kernel state
 // -- clocks, domains, queues, fiber positions, counters -- bit for bit.
@@ -79,7 +79,7 @@ struct ForkOptions {
   /// via Kernel::build(), so the fork stays snapshot-capable. This is
   /// where simulated behavior changes: retune quanta, spawn extra
   /// traffic, reconfigure links.
-  std::function<void(Kernel&)> diverge;
+  std::function<void(Kernel&)> diverge{};
 };
 
 }  // namespace tdsim

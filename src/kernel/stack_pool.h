@@ -1,4 +1,4 @@
-// Process-wide pooled allocator for fiber (ucontext) stacks.
+// Process-wide pooled allocator for fiber stacks.
 //
 // Before PR 10 every thread process allocated its stack with
 // std::make_unique<char[]> -- a value-initializing heap allocation that
@@ -16,8 +16,8 @@
 //     compatible size reuses it without touching its pages -- no zeroing,
 //     no page faults beyond what the fiber actually used.
 //   * The usable region is page-aligned on both ends, so the stack top
-//     handed to makecontext (ss_sp + ss_size) is 16-byte aligned as the
-//     SysV ABI expects -- the alignment bugfix of PR 10.
+//     (sp + size) under which fiber::make_stack lays the first frame is
+//     16-byte aligned as the SysV ABI expects.
 //   * One guard page sits below the stack (stacks grow down). With
 //     guarding enabled (the default; KernelConfig::stack_guard /
 //     TDSIM_STACK_GUARD=0 to disable) the page is PROT_NONE, so a fiber
@@ -52,8 +52,8 @@ namespace tdsim {
 /// rounded up; every class is a power of two.
 inline constexpr std::size_t kMinStackClass = 16 * 1024;
 
-/// One pooled fiber stack. `sp`/`size` are what goes into
-/// uc_stack.ss_sp/ss_size: the usable region, page-aligned on both ends
+/// One pooled fiber stack. `sp`/`size` are what fiber::make_stack and the
+/// sanitizer switches receive: the usable region, page-aligned on both ends
 /// (so the stack top is 16-byte aligned). `map_base`/`map_size` cover the
 /// whole mapping including the guard page below `sp`.
 struct StackBlock {

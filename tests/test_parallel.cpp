@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/smart_fifo.h"
@@ -294,15 +295,20 @@ TEST(Parallel, RepeatedRunReentryMatchesSequential) {
     SyncDomain& b = k.create_domain(
         {.name = "rb", .quantum = 90_ns, .concurrent = true});
     Observed out;
-    for (auto [domain, label] : {std::pair<SyncDomain*, const char*>{&a, "a"},
-                                 {&b, "b"}}) {
+    // One slot per worker: ra and rb are unlinked concurrent domains, so
+    // their processes may finish at the same moment on two threads and
+    // must not share a container.
+    std::vector<Time> finals(2);
+    for (auto [domain, label, slot] :
+         {std::tuple<SyncDomain*, const char*, Time*>{&a, "a", &finals[0]},
+          {&b, "b", &finals[1]}}) {
       ThreadOptions opts;
       opts.domain = domain;
-      k.spawn_thread(std::string("worker_") + label, [&k, &out] {
+      k.spawn_thread(std::string("worker_") + label, [&k, slot] {
         for (int i = 0; i < 200; ++i) {
           k.current_domain().inc_and_sync_if_needed(8_ns);
         }
-        out.dates.push_back(k.current_domain().local_time_stamp());
+        *slot = k.current_domain().local_time_stamp();
       }, opts);
     }
     for (Time slice : slices) {
@@ -310,6 +316,7 @@ TEST(Parallel, RepeatedRunReentryMatchesSequential) {
       out.dates.push_back(k.now());
     }
     k.run();
+    out.dates.insert(out.dates.end(), finals.begin(), finals.end());
     out.capture(k);
     return out;
   };

@@ -161,8 +161,9 @@ TEST(Scale, StackPoolAlignsAndSizes) {
   StackPool::Acquired small = pool.acquire(100, /*guard=*/false);
   ASSERT_TRUE(static_cast<bool>(small.block));
   EXPECT_GE(small.block.size, kMinStackClass);
-  // The ucontext ABI bugfix: the stack top (ss_sp + ss_size) must be
-  // 16-byte aligned. Pool blocks are page-aligned on both ends.
+  // The SysV ABI needs the stack top (sp + size) that fiber::make_stack
+  // builds under to be 16-byte aligned. Pool blocks are page-aligned on
+  // both ends.
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(small.block.sp) % 4096, 0u);
   EXPECT_EQ((reinterpret_cast<std::uintptr_t>(small.block.sp) +
              small.block.size) %
