@@ -34,11 +34,13 @@ class FifoInterface {
 
   virtual std::size_t depth() const = 0;
 
-  /// Chunked-transfer opt-in (see core/chunk_protocol.h): a capacity >= 2
-  /// batches the channel's per-element bookkeeping (delta notifications,
-  /// per-access syncs, external-view transitions) once per chunk; 0 or 1
-  /// restores per-element mode. Channels without a chunked mode ignore
-  /// it. Data-path dates are bit-exact across modes; only counts change.
+  /// Publication granularity (see core/smart_fifo.h): a capacity >= 2
+  /// batches the channel's per-access bookkeeping (delta notifications,
+  /// per-access sync books, external-view transitions) once per chunk of
+  /// that many accesses; 0 or 1 runs it on every access (per-element).
+  /// Legal mid-run. Channels without batching ignore it. Data-path dates
+  /// never depend on the capacity; only counts do. chunk_capacity()
+  /// reports 0 for a per-element channel.
   virtual void set_chunk_capacity(std::size_t) {}
   virtual std::size_t chunk_capacity() const { return 0; }
 

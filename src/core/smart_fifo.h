@@ -31,29 +31,53 @@
 // belong to different domains with different quanta: the cell date stamps
 // carry the timing across the domain boundary unchanged.
 //
-// Chunked mode (set_chunk_capacity >= 2, or the TDSIM_CHUNKED default;
-// see core/chunk_protocol.h): the per-element bookkeeping -- delta
-// notification, DomainLink touch, external-view transition checks -- is
-// batched once per chunk. The writer stamps cells privately and
-// publishes whole spans with one release store; occupancy, blocking
-// conditions and block counters read the serialized operation totals
-// directly and are bit-identical to per-element mode (the ring indices
-// become derived views of the totals, `total_writes_ % depth`, so the
-// channel can switch modes mid-run). Blocking paths force-flush both
-// sides before suspending, and the kernel flushes every dirty chunk once
-// per delta-cascade iteration (Kernel::ChunkFlushListener), so every
-// date stays bit-exact with per-element mode -- only notification and
-// accounting *counts* change. The mutation hooks apply to per-element
-// mode only.
+// Publication (one path, any capacity): each side stamps its cells, then
+// *publishes* them, which runs the per-access bookkeeping -- the delta
+// wake of a blocked peer and the external-view transition checks -- once
+// per published span (the DomainLink touch likewise runs once per span).
+// A side publishes when its pending count reaches the chunk capacity
+// (set_chunk_capacity, or the TDSIM_CHUNKED default): capacity 0 or 1
+// publishes on every access, which is the paper's per-element FIFO, and
+// capacity >= 2 batches the bookkeeping once per chunk. The mutation
+// hooks (core/mutations.h) apply at every capacity. Occupancy, the
+// blocking conditions and the block counters always read the operation
+// totals, never the published prefixes: both sides of a channel share a
+// concurrency group (DomainLink::touch merges them on first contact), so
+// every access is serialized by the kernel and the totals are the ground
+// truth on both sides. The published prefixes only delimit notification
+// state -- the spans whose wakes and external-view events have not fired.
+// Cross-worker visibility of the stamped cells comes from the
+// Scheduler's mutex-guarded task handoff, as for every other piece of a
+// group's state.
+//
+// Scheduling contract (what keeps every capacity bit-exact on the data
+// path): every publication happens at a simulated date no later than the
+// dates stamped on the published elements. A side publishes at chunk
+// boundaries from its own process; the blocking paths publish both sides
+// before suspending; and a channel at capacity >= 2 registers as a
+// Kernel::ChunkFlushListener, so the kernel publishes every dirty chunk
+// once per delta-cascade iteration (post-update, in Kernel::run() and,
+// group-filtered, in the lookahead free-run cascades). Nothing
+// unpublished survives a drained cascade and simulated time never
+// advances past a dirty chunk, so a woken side always resumes at a date
+// the element stamps dominate and the timing recurrence computes the
+// per-element dates. Only the counts batched per chunk (delta
+// notifications, external-event schedulings) change with the capacity.
+// One visible artifact: a run whose last pending work is an *unobserved*
+// external-view re-arm can end at a slightly different kernel date,
+// because a larger chunk schedules fewer of those notifications; a
+// synchronized observer of the events still sees every state change at
+// the stamped dates. A capacity change publishes both sides first, so it
+// is legal mid-run, even while the peer is suspended in a blocking call.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/chunk_protocol.h"
 #include "core/fifo_interface.h"
 #include "core/mutations.h"
 #include "kernel/domain_link.h"
@@ -84,16 +108,11 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     if (depth == 0) {
       Report::error("SmartFifo " + name_ + ": depth must be >= 1");
     }
-    // Mutation-injected FIFOs (testing only) stay per-element: the
-    // mutation hooks live on the per-element paths, and silently ignoring
-    // an injected bug under the env default would defeat their tests.
-    if (mutations_ == nullptr && kernel_.default_chunk_capacity() > 1) {
-      set_chunk_capacity(kernel_.default_chunk_capacity());
-    }
+    set_chunk_capacity(kernel_.default_chunk_capacity());
   }
 
   ~SmartFifo() override {
-    if (chunked_) {
+    if (chunk_capacity_ >= 2) {
       kernel_.unregister_chunk_flush(this);
     }
   }
@@ -114,58 +133,47 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     Process& p = require_process("write");
     SyncDomain& domain = p.domain();
     LocalClock& clock = p.clock();
-    if (chunked_) {
-      write_chunked(std::move(value), domain, clock);
-      return;
+    const SmartFifoMutations* m = mutations_;  // read once per access
+    if (total_writes_ == writes_published_) {
+      domain_link_.touch(domain);  // once per chunk
     }
-    domain_link_.touch(domain);
     check_side_order(clock, last_write_date_, "write");
-    if (busy_count_ == cells_.size()) {
+    if (total_writes_ - total_reads_ == cells_.size()) {
       // Step 1: internally full -- synchronize, then wait for a free cell.
-      // The synchronization may already let the (possibly decoupled, but
-      // behind in execution order) reader run and free cells, so the
-      // condition is re-checked before suspending on the event.
+      // Both sides publish first: a reader waiting on internal_data_ needs
+      // the blocked span's wake, and the reader's next publication is what
+      // fires internal_space_. The synchronization may already let the
+      // (possibly decoupled, but behind in execution order) reader run and
+      // free cells, so the condition is re-checked before suspending.
+      flush_chunks();
       writer_blocks_++;
-      if (!mut(&SmartFifoMutations::skip_sync_on_block)) {
+      if (!mutated(m, &SmartFifoMutations::skip_sync_on_block)) {
         domain.sync(SyncCause::FifoFull);
       }
-      while (busy_count_ == cells_.size()) {
+      while (total_writes_ - total_reads_ == cells_.size()) {
         kernel_.wait(internal_space_);
       }
     }
-    Cell& cell = cells_[first_free_];
+    Cell& cell = cells_[write_index_];
     // Step 2: the cell may still be "occupied" in real time; push the
     // writer's local date to the date the cell was freed.
-    if (!mut(&SmartFifoMutations::skip_writer_time_bump)) {
+    if (!mutated(m, &SmartFifoMutations::skip_writer_time_bump)) {
       clock.advance_to(cell.freeing_date);
     }
     const Time date = clock.now();
     last_write_date_ = date;
-    const bool was_internally_empty = (busy_count_ == 0);
     // Step 3: fill the cell and stamp the insertion.
     cell.data = std::move(value);
     cell.busy = true;
-    if (!mut(&SmartFifoMutations::skip_insertion_date)) {
+    if (!mutated(m, &SmartFifoMutations::skip_insertion_date)) {
       cell.insertion_date = date;
     }
-    first_free_ = next_index(first_free_);
-    busy_count_++;
+    write_index_ = next_index(write_index_);
     total_writes_++;
-    // Step 4: wake up a blocked reader, if any.
-    internal_data_.notify_delta();
-    // External view (paper SIII.B, not_empty case 1): the FIFO stopped
-    // being internally empty; observers must see data appear at the
-    // insertion date.
-    if (was_internally_empty) {
-      schedule_external(not_empty_, date);
-    }
-    // not_full case 2: the next free cell exists but is still occupied in
-    // real time until its freeing date.
-    if (busy_count_ < cells_.size()) {
-      const Time freeing = cells_[first_free_].freeing_date;
-      if (freeing > date) {
-        schedule_external(not_full_, freeing);
-      }
+    // Step 4: publish -- wake a blocked reader, update the external view --
+    // once the pending span reaches the chunk capacity (every write at 1).
+    if (total_writes_ - writes_published_ >= chunk_capacity_) {
+      publish_writes();
     }
   }
 
@@ -175,28 +183,13 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   bool is_full() override {
     Process* p = kernel_.current_process();
     domain_link_.touch(p != nullptr ? p->domain() : kernel_.sync_domain());
-    if (chunked_) {
-      // Occupancy reads the serialized totals -- the ground truth on both
-      // sides (chunk_protocol.h) -- so the chunked view is bit-identical
-      // to the per-element busy_count_ test; only the re-arm notification
-      // below is batched differently.
-      if (total_writes_ - total_reads_ == cells_.size()) {
-        return true;
-      }
-      const Time freeing = cell_at(total_writes_).freeing_date;
-      if (freeing > (p != nullptr ? p->clock().now() : kernel_.now())) {
-        schedule_external_chunked(not_full_, freeing);
-        return true;
-      }
-      return false;
-    }
-    if (busy_count_ == cells_.size()) {
+    if (total_writes_ - total_reads_ == cells_.size()) {
       return true;
     }
-    if (mut(&SmartFifoMutations::naive_is_full)) {
+    if (mutated(mutations_, &SmartFifoMutations::naive_is_full)) {
       return false;
     }
-    const Time freeing = cells_[first_free_].freeing_date;
+    const Time freeing = cells_[write_index_].freeing_date;
     // From scheduler context (no process) the local date degenerates to
     // the global date, as local_time_stamp() used to.
     if (freeing > (p != nullptr ? p->clock().now() : kernel_.now())) {
@@ -222,53 +215,41 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     Process& p = require_process("read");
     SyncDomain& domain = p.domain();
     LocalClock& clock = p.clock();
-    if (chunked_) {
-      return read_chunked(domain, clock);
+    const SmartFifoMutations* m = mutations_;
+    if (total_reads_ == reads_published_) {
+      domain_link_.touch(domain);
     }
-    domain_link_.touch(domain);
     check_side_order(clock, last_read_date_, "read");
-    if (busy_count_ == 0) {
-      // Internally empty -- synchronize, then wait for data; re-check
-      // after the synchronization (see write()).
+    if (total_writes_ == total_reads_) {
+      // Internally empty -- publish both sides, synchronize, then wait for
+      // data; re-check after the synchronization (see write()).
+      flush_chunks();
       reader_blocks_++;
-      if (!mut(&SmartFifoMutations::skip_sync_on_block)) {
+      if (!mutated(m, &SmartFifoMutations::skip_sync_on_block)) {
         domain.sync(SyncCause::FifoEmpty);
       }
-      while (busy_count_ == 0) {
+      while (total_writes_ == total_reads_) {
         kernel_.wait(internal_data_);
       }
     }
-    Cell& cell = cells_[first_busy_];
+    Cell& cell = cells_[read_index_];
     // The data may not have arrived yet in real time; push the reader's
     // local date to the insertion date.
-    if (!mut(&SmartFifoMutations::skip_reader_time_bump)) {
+    if (!mutated(m, &SmartFifoMutations::skip_reader_time_bump)) {
       clock.advance_to(cell.insertion_date);
     }
     const Time date = clock.now();
     last_read_date_ = date;
-    const bool was_internally_full = (busy_count_ == cells_.size());
     T value = std::move(cell.data);
     cell.busy = false;
-    if (!mut(&SmartFifoMutations::skip_freeing_date)) {
+    if (!mutated(m, &SmartFifoMutations::skip_freeing_date)) {
       cell.freeing_date = date;
     }
-    first_busy_ = next_index(first_busy_);
-    busy_count_--;
+    read_index_ = next_index(read_index_);
     total_reads_++;
-    // Wake up a blocked writer, if any.
-    internal_space_.notify_delta();
-    // External view: the FIFO stopped being internally full; space appears
-    // at the freeing date (paper SIII.B, not_full case 1).
-    if (was_internally_full) {
-      schedule_external(not_full_, date);
-    }
-    // not_empty case 2: the next busy cell exists but its data only
-    // arrives in real time at its insertion date.
-    if (busy_count_ > 0) {
-      const Time insertion = cells_[first_busy_].insertion_date;
-      if (insertion > date) {
-        schedule_external(not_empty_, insertion);
-      }
+    // Publish: wake a blocked writer, update the external view.
+    if (total_reads_ - reads_published_ >= chunk_capacity_) {
+      publish_reads();
     }
     return value;
   }
@@ -280,26 +261,13 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   bool is_empty() override {
     Process* p = kernel_.current_process();
     domain_link_.touch(p != nullptr ? p->domain() : kernel_.sync_domain());
-    if (chunked_) {
-      // Mirror of the chunked is_full() view: the serialized totals are
-      // the per-element busy_count_ test, bit-identically.
-      if (total_writes_ == total_reads_) {
-        return true;
-      }
-      const Time insertion = cell_at(total_reads_).insertion_date;
-      if (insertion > (p != nullptr ? p->clock().now() : kernel_.now())) {
-        schedule_external_chunked(not_empty_, insertion);
-        return true;
-      }
-      return false;
-    }
-    if (busy_count_ == 0) {
+    if (total_writes_ == total_reads_) {
       return true;
     }
-    if (mut(&SmartFifoMutations::naive_is_empty)) {
+    if (mutated(mutations_, &SmartFifoMutations::naive_is_empty)) {
       return false;
     }
-    const Time insertion = cells_[first_busy_].insertion_date;
+    const Time insertion = cells_[read_index_].insertion_date;
     if (insertion > (p != nullptr ? p->clock().now() : kernel_.now())) {
       // Externally empty until `insertion`; re-arm the delayed
       // notification (see is_full()).
@@ -331,8 +299,8 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     // synchronizing one).
     domain.sync(SyncCause::Monitor);
     monitor_queries_++;
-    if (mut(&SmartFifoMutations::naive_get_size)) {
-      return busy_count_;
+    if (mutated(mutations_, &SmartFifoMutations::naive_get_size)) {
+      return internal_size();
     }
     const Time now = kernel_.now();
     std::size_t count = 0;
@@ -395,42 +363,29 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   /// Internal occupancy (how many cells hold data, regardless of dates).
   /// Debug only -- the real occupancy is get_size().
   std::size_t internal_size() const {
-    return chunked_ ? static_cast<std::size_t>(total_writes_ - total_reads_)
-                    : busy_count_;
+    return static_cast<std::size_t>(total_writes_ - total_reads_);
   }
 
-  /// Chunked-transfer opt-in (see the header comment and
-  /// core/chunk_protocol.h). A capacity >= 2 enters chunked mode (or
-  /// re-sizes the chunk from a flushed boundary); 0 or 1 publishes
-  /// everything and returns to per-element mode. Mode switches are legal
-  /// mid-run from any context serialized with both sides -- typically one
-  /// of the channel's own processes, or elaboration -- even while the
-  /// peer is suspended in a blocking access (the blocking paths
-  /// re-dispatch on resume when the mode changed under them).
+  /// Publication granularity (see the header comment): each side
+  /// publishes every `capacity` accesses; 0 or 1 publishes on every
+  /// access. Publishes both sides first, so a change is legal mid-run
+  /// from any context serialized with both sides -- typically one of the
+  /// channel's own processes, or elaboration -- even while the peer is
+  /// suspended in a blocking access. Only capacities >= 2 register with
+  /// the kernel's flush points.
   void set_chunk_capacity(std::size_t capacity) override {
-    if (capacity >= 2) {
-      if (chunked_) {
-        flush_chunks();  // re-size from a clean chunk boundary
-      } else {
-        // Entering chunked mode: per-element state is fully visible by
-        // definition, and the per-element cursors are provably
-        // total % depth, so the counters reconcile exactly.
-        chunk_.reset(total_writes_, total_reads_);
-        chunked_ = true;
-        kernel_.register_chunk_flush(this);
-      }
-      chunk_capacity_ = capacity;
-    } else if (chunked_) {
-      flush_chunks();
-      first_free_ = static_cast<std::size_t>(total_writes_ % cells_.size());
-      first_busy_ = static_cast<std::size_t>(total_reads_ % cells_.size());
-      busy_count_ = static_cast<std::size_t>(total_writes_ - total_reads_);
-      chunked_ = false;
-      chunk_capacity_ = 0;
+    flush_chunks();
+    const bool was_chunked = chunk_capacity_ >= 2;
+    chunk_capacity_ = std::max<std::size_t>(1, capacity);
+    if (chunk_capacity_ >= 2 && !was_chunked) {
+      kernel_.register_chunk_flush(this);
+    } else if (chunk_capacity_ < 2 && was_chunked) {
       kernel_.unregister_chunk_flush(this);
     }
   }
-  std::size_t chunk_capacity() const override { return chunk_capacity_; }
+  std::size_t chunk_capacity() const override {
+    return chunk_capacity_ >= 2 ? chunk_capacity_ : 0;
+  }
 
   /// Kernel flush point (horizons, lookahead waves, blocking paths):
   /// publishes both sides' pending spans. Returns whether anything was
@@ -485,12 +440,25 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     bool busy = false;
   };
 
+  /// Whether the injected bug `flag` is on. Callers on the data path pass
+  /// mutations_ read once per access, so a FIFO without injected bugs
+  /// pays a register test per hook, not a load.
+  static bool mutated(const SmartFifoMutations* m,
+                      bool SmartFifoMutations::* flag) {
+    return m != nullptr && m->*flag;
+  }
+
   std::size_t next_index(std::size_t i) const {
     return (i + 1 == cells_.size()) ? 0 : i + 1;
   }
 
-  bool mut(bool SmartFifoMutations::* flag) const {
-    return mutations_ != nullptr && mutations_->*flag;
+  /// The ring position `back` accesses before position `index`. Only a
+  /// capacity above the depth lets `back` exceed the depth.
+  std::size_t index_before(std::size_t index, std::uint64_t back) const {
+    const std::size_t depth = cells_.size();
+    const std::size_t b =
+        static_cast<std::size_t>(back <= depth ? back : back % depth);
+    return index >= b ? index - b : index + depth - b;
   }
 
   /// The calling process -- the data-path interfaces are only usable from
@@ -522,133 +490,49 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     }
   }
 
-  /// Schedules an external-view event at absolute date `at` (>= now). The
+  /// Schedules an external-view event at absolute date `at`. The
   /// notification is delayed so that synchronized observers see the state
-  /// change exactly when the real FIFO changes (paper SIII.B).
+  /// change exactly when the real FIFO changes (paper SIII.B). A kernel
+  /// flush point can publish from scheduler context at a date past the
+  /// stamped one; a stale `at` then degrades to a delta notification
+  /// instead of underflowing the delay.
   void schedule_external(Event& event, Time at) {
-    if (mut(&SmartFifoMutations::undelayed_external_events)) {
-      event.notify_delta();
-      return;
-    }
-    event.notify(at - kernel_.now());
-  }
-
-  /// Chunked-mode variant: flush points can run from scheduler context at
-  /// a date past the stamped one, so a stale `at` degrades to a delta
-  /// notification instead of underflowing the delay.
-  void schedule_external_chunked(Event& event, Time at) {
     const Time now = kernel_.now();
-    if (at >= now) {
-      event.notify(at - now);
-    } else {
+    if (at < now ||
+        mutated(mutations_, &SmartFifoMutations::undelayed_external_events)) {
       event.notify_delta();
+    } else {
+      event.notify(at - now);
     }
   }
 
-  Cell& cell_at(std::uint64_t counter) {
-    return cells_[static_cast<std::size_t>(counter % cells_.size())];
-  }
-
-  /// Chunked write (see the header comment): stamp privately, publish at
-  /// chunk boundaries. The blocking condition reads the serialized totals
-  /// -- exactly the per-element busy_count_ test, so blocking happens (and
-  /// writer_blocks_ counts) precisely when per-element mode blocks.
-  void write_chunked(T value, SyncDomain& domain, LocalClock& clock) {
-    if (total_writes_ == chunk_.produced_published()) {
-      domain_link_.touch(domain);  // once per chunk, not per element
-    }
-    check_side_order(clock, last_write_date_, "write");
-    if (total_writes_ - total_reads_ == cells_.size()) {
-      // Publish both sides before suspending: the blocked span's delta
-      // wake must exist for a reader waiting on internal_data_, and the
-      // reader's next publish is what fires internal_space_ below.
-      flush_chunks();
-      writer_blocks_++;
-      domain.sync(SyncCause::FifoFull);
-      while (total_writes_ - total_reads_ == cells_.size()) {
-        kernel_.wait(internal_space_);
-      }
-      if (!chunked_) {
-        // The mode was switched back to per-element while we were
-        // suspended (set_chunk_capacity reconstructed the cursors before
-        // this element was written); finishing on the chunked tail would
-        // leave them one element behind. Re-dispatch: write() re-checks a
-        // now-false full condition, so nothing double-counts.
-        write(std::move(value));
-        return;
-      }
-    }
-    Cell& cell = cell_at(total_writes_);
-    clock.advance_to(cell.freeing_date);
-    const Time date = clock.now();
-    last_write_date_ = date;
-    cell.data = std::move(value);
-    cell.busy = true;
-    cell.insertion_date = date;
-    total_writes_++;
-    if (total_writes_ - chunk_.produced_published() >= chunk_capacity_) {
-      publish_writes();
-    }
-  }
-
-  /// Chunked read, symmetric to write_chunked().
-  T read_chunked(SyncDomain& domain, LocalClock& clock) {
-    if (total_reads_ == chunk_.consumed_published()) {
-      domain_link_.touch(domain);
-    }
-    check_side_order(clock, last_read_date_, "read");
-    if (total_writes_ == total_reads_) {
-      flush_chunks();
-      reader_blocks_++;
-      domain.sync(SyncCause::FifoEmpty);
-      while (total_writes_ == total_reads_) {
-        kernel_.wait(internal_data_);
-      }
-      if (!chunked_) {
-        // Mode switched away while suspended -- see write_chunked().
-        return read();
-      }
-    }
-    Cell& cell = cell_at(total_reads_);
-    clock.advance_to(cell.insertion_date);
-    const Time date = clock.now();
-    last_read_date_ = date;
-    T value = std::move(cell.data);
-    cell.busy = false;
-    cell.freeing_date = date;
-    total_reads_++;
-    if (total_reads_ - chunk_.consumed_published() >= chunk_capacity_) {
-      publish_reads();
-    }
-    return value;
-  }
-
-  /// One release store for the whole pending write span, one delta wake,
-  /// and the external-view checks per-element ran on every write run once
-  /// against the span's boundary cells.
+  /// Publishes the pending write span: one delta wake, and the
+  /// external-view transition checks run once against the span's
+  /// boundary cells.
   bool publish_writes() {
-    if (total_writes_ == chunk_.produced_published()) {
+    const std::uint64_t pending = total_writes_ - writes_published_;
+    if (pending == 0) {
       return false;
     }
-    const std::uint64_t from = chunk_.produced_published();
     // Transition tests run on the *published* view (what the events have
     // told observers so far); the published view catches up to the totals
     // at every cascade iteration, so every empty->nonempty transition
     // fires here no later than one flush after the truth changed -- at
     // the same simulated date.
-    const bool was_published_empty = (from == chunk_.consumed_published());
-    chunk_.publish_produced(total_writes_);
+    const bool was_published_empty = (writes_published_ == reads_published_);
+    writes_published_ = total_writes_;
     internal_data_.notify_delta();
     if (was_published_empty) {
       // not_empty case 1: data appears at the first published insertion.
-      schedule_external_chunked(not_empty_, cell_at(from).insertion_date);
+      const Cell& first = cells_[index_before(write_index_, pending)];
+      schedule_external(not_empty_, first.insertion_date);
     }
     // not_full case 2: the next write target exists but stays occupied in
     // real time until its freeing date.
-    if (total_writes_ - chunk_.consumed_published() < cells_.size()) {
-      const Time freeing = cell_at(total_writes_).freeing_date;
+    if (total_writes_ - reads_published_ < cells_.size()) {
+      const Time freeing = cells_[write_index_].freeing_date;
       if (freeing > last_write_date_) {
-        schedule_external_chunked(not_full_, freeing);
+        schedule_external(not_full_, freeing);
       }
     }
     return true;
@@ -656,24 +540,25 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
 
   /// Reader-side mirror of publish_writes().
   bool publish_reads() {
-    if (total_reads_ == chunk_.consumed_published()) {
+    const std::uint64_t pending = total_reads_ - reads_published_;
+    if (pending == 0) {
       return false;
     }
-    const std::uint64_t from = chunk_.consumed_published();
     const bool was_published_full =
-        (chunk_.produced_published() - from == cells_.size());
-    chunk_.publish_consumed(total_reads_);
+        (writes_published_ - reads_published_ == cells_.size());
+    reads_published_ = total_reads_;
     internal_space_.notify_delta();
     if (was_published_full) {
       // not_full case 1: space appears at the first published freeing.
-      schedule_external_chunked(not_full_, cell_at(from).freeing_date);
+      const Cell& first = cells_[index_before(read_index_, pending)];
+      schedule_external(not_full_, first.freeing_date);
     }
     // not_empty case 2: published data remains but only arrives in real
     // time at its insertion date.
-    if (chunk_.produced_published() != total_reads_) {
-      const Time insertion = cell_at(total_reads_).insertion_date;
+    if (writes_published_ != total_reads_) {
+      const Time insertion = cells_[read_index_].insertion_date;
       if (insertion > last_read_date_) {
-        schedule_external_chunked(not_empty_, insertion);
+        schedule_external(not_empty_, insertion);
       }
     }
     return true;
@@ -682,6 +567,7 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   Kernel& kernel_;
   std::string name_;
   std::vector<Cell> cells_;
+  /// Injected bugs (testing only); null for every other FIFO.
   const SmartFifoMutations* mutations_;
   /// Writer and reader may live in different domains (the cell stamps
   /// carry the dates across); the link declares that ordering to the
@@ -691,12 +577,6 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   /// accuracy_relevant()), which is exactly the signal the adaptive
   /// quantum controller shrinks the quantum on.
   DomainLink domain_link_{name_};
-
-  /// Index of the first free cell (next write target).
-  std::size_t first_free_ = 0;
-  /// Index of the first busy cell (next read target).
-  std::size_t first_busy_ = 0;
-  std::size_t busy_count_ = 0;
 
   Time last_write_date_{};
   Time last_read_date_{};
@@ -709,19 +589,23 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   Event not_empty_;
   Event not_full_;
 
+  /// Operation totals: the ground truth for occupancy on both sides.
   std::uint64_t total_writes_ = 0;
   std::uint64_t total_reads_ = 0;
+  /// The prefixes of the totals already published (see the header
+  /// comment).
+  std::uint64_t writes_published_ = 0;
+  std::uint64_t reads_published_ = 0;
+  /// Ring positions of the next write and read: total % depth, kept as
+  /// maintained indices so no access pays a division.
+  std::size_t write_index_ = 0;
+  std::size_t read_index_ = 0;
+  /// Publication threshold, >= 1 (1 = per-element publication).
+  std::size_t chunk_capacity_ = 1;
+
   std::uint64_t writer_blocks_ = 0;
   std::uint64_t reader_blocks_ = 0;
   std::uint64_t monitor_queries_ = 0;
-
-  /// Chunked mode (see core/chunk_protocol.h). In chunked mode the
-  /// per-element cursors (first_free_ / first_busy_ / busy_count_) are
-  /// dormant -- the totals are the cursors -- and are reconstructed on
-  /// the way back to per-element mode.
-  bool chunked_ = false;
-  std::size_t chunk_capacity_ = 0;
-  ChunkSpscCore chunk_;
 };
 
 }  // namespace tdsim

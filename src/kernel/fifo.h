@@ -4,15 +4,18 @@
 // processes. This is the channel used by the paper's untimed model and, via
 // SyncFifo, by the "TDless" reference model.
 //
-// Chunked mode (set_chunk_capacity >= 2, or the TDSIM_CHUNKED default):
-// the buffer itself stays immediately visible -- only the data_written /
-// data_read delta notifications are batched, firing on the empty<->non-empty
-// and full<->non-full transitions (the only wake-relevant ones for the
-// blocking loops), every chunk_capacity-th access, and at every kernel
-// flush point (Kernel::ChunkFlushListener). Blocking dates are unchanged;
-// only the number of delta notifications observers see drops.
+// Chunk capacity (set_chunk_capacity, or the TDSIM_CHUNKED default): the
+// buffer itself is always immediately visible; the capacity only sets how
+// often the data_written / data_read delta notifications fire. They fire
+// on the empty<->non-empty and full<->non-full transitions (the only
+// wake-relevant ones for the blocking loops), once every chunk_capacity
+// accesses -- every access at capacity 0 or 1 -- and, at capacity >= 2,
+// at every kernel flush point (Kernel::ChunkFlushListener). Blocking
+// dates never depend on the capacity; only the number of delta
+// notifications observers see does.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <string>
@@ -39,13 +42,11 @@ class Fifo : public ChunkFlushListener {
     if (depth_ == 0) {
       Report::error("Fifo " + name_ + ": depth must be >= 1");
     }
-    if (kernel_.default_chunk_capacity() > 1) {
-      set_chunk_capacity(kernel_.default_chunk_capacity());
-    }
+    set_chunk_capacity(kernel_.default_chunk_capacity());
   }
 
   ~Fifo() override {
-    if (chunk_registered_) {
+    if (chunk_capacity_ >= 2) {
       kernel_.unregister_chunk_flush(this);
     }
   }
@@ -130,24 +131,23 @@ class Fifo : public ChunkFlushListener {
   }
   Time declared_min_latency() const { return domain_link_.min_latency(); }
 
-  /// Chunked notification batching (see the header comment). A capacity
-  /// >= 2 registers the FIFO as a kernel flush listener; 0 or 1 flushes
-  /// any pending notifications and restores per-access delta notifies.
+  /// Notification batching (see the header comment). Fires any pending
+  /// notifications first; a capacity >= 2 registers the FIFO as a kernel
+  /// flush listener, 0 or 1 notifies on every access.
   void set_chunk_capacity(std::size_t capacity) {
-    if (capacity >= 2) {
-      chunk_capacity_ = capacity;
-      if (!chunk_registered_) {
-        kernel_.register_chunk_flush(this);
-        chunk_registered_ = true;
-      }
-    } else if (chunk_registered_) {
-      flush_chunks();
-      chunk_capacity_ = 0;
+    flush_chunks();
+    const bool was_chunked = chunk_capacity_ >= 2;
+    chunk_capacity_ = std::max<std::size_t>(1, capacity);
+    if (chunk_capacity_ >= 2 && !was_chunked) {
+      kernel_.register_chunk_flush(this);
+    } else if (chunk_capacity_ < 2 && was_chunked) {
       kernel_.unregister_chunk_flush(this);
-      chunk_registered_ = false;
     }
   }
-  std::size_t chunk_capacity() const { return chunk_capacity_; }
+  /// 0 for a per-element FIFO.
+  std::size_t chunk_capacity() const {
+    return chunk_capacity_ >= 2 ? chunk_capacity_ : 0;
+  }
 
   /// Kernel flush point (horizons, lookahead waves, run() exit): fire the
   /// batched delta notifications so pollers observe a settled channel.
@@ -177,13 +177,11 @@ class Fifo : public ChunkFlushListener {
   std::uint64_t reads_blocked() const { return reads_blocked_; }
 
  private:
-  /// Post-write notification: per access in per-element mode; in chunked
-  /// mode only on the empty->non-empty transition (the wake-relevant one),
-  /// every chunk_capacity_-th pending write, and at kernel flush points.
+  /// Post-write notification: once chunk_capacity_ writes are pending,
+  /// on the empty->non-empty transition (the wake-relevant one), and at
+  /// kernel flush points.
   void note_written() {
-    pending_written_++;
-    if (chunk_capacity_ <= 1 || buffer_.size() == 1 ||
-        pending_written_ >= chunk_capacity_) {
+    if (++pending_written_ >= chunk_capacity_ || buffer_.size() == 1) {
       pending_written_ = 0;
       data_written_.notify_delta();
     }
@@ -191,9 +189,7 @@ class Fifo : public ChunkFlushListener {
 
   /// Post-read analog of note_written() (full->non-full transition).
   void note_read() {
-    pending_read_++;
-    if (chunk_capacity_ <= 1 || buffer_.size() == depth_ - 1 ||
-        pending_read_ >= chunk_capacity_) {
+    if (++pending_read_ >= chunk_capacity_ || buffer_.size() == depth_ - 1) {
       pending_read_ = 0;
       data_read_.notify_delta();
     }
@@ -212,11 +208,10 @@ class Fifo : public ChunkFlushListener {
   std::uint64_t total_reads_ = 0;
   std::uint64_t writes_blocked_ = 0;
   std::uint64_t reads_blocked_ = 0;
-  /// Chunked notification batching (0 = per-element mode).
-  std::size_t chunk_capacity_ = 0;
+  /// Notification threshold, >= 1 (1 = notify on every access).
+  std::size_t chunk_capacity_ = 1;
   std::size_t pending_written_ = 0;
   std::size_t pending_read_ = 0;
-  bool chunk_registered_ = false;
 };
 
 }  // namespace tdsim

@@ -94,7 +94,6 @@ Kernel::Kernel(const KernelConfig& config) {
   if (!config_.stack_guard) config_.stack_guard = true;
   workers_ = *config_.workers;
   default_chunk_capacity_ = *config_.default_chunk_capacity;
-  quantum_trace_depth_ = *config_.quantum_trace_depth;
   lookahead_max_waves_ = *config_.lookahead_limit;
   delta_limit_ = *config_.delta_cycle_limit;
   pooled_stacks_ = *config_.pooled_stacks;
@@ -179,15 +178,6 @@ SyncDomain& Kernel::create_domain(const DomainOptions& options) {
   return domain;
 }
 
-SyncDomain& Kernel::create_domain(std::string name, Time quantum,
-                                  bool concurrent) {
-  DomainOptions options;
-  options.name = std::move(name);
-  options.quantum = quantum;
-  options.concurrent = concurrent;
-  return create_domain(options);
-}
-
 SyncDomain& Kernel::create_domain_impl(std::string name, Time quantum,
                                        bool concurrent) {
   if (active_task() != nullptr) {
@@ -213,17 +203,6 @@ SyncDomain& Kernel::create_domain_impl(std::string name, Time quantum,
   return *domains_.back();
 }
 
-SyncDomain& Kernel::create_domain(std::string name, Time quantum,
-                                  bool concurrent,
-                                  const QuantumPolicy& policy) {
-  DomainOptions options;
-  options.name = std::move(name);
-  options.quantum = quantum;
-  options.concurrent = concurrent;
-  options.policy = policy;
-  return create_domain(options);
-}
-
 void Kernel::set_quantum_policy(SyncDomain& domain,
                                 const QuantumPolicy& policy) {
   if (&domain.kernel() != this) {
@@ -237,36 +216,14 @@ void Kernel::set_quantum_policy(SyncDomain& domain,
   }
   note_external_elaboration();
   if (!quantum_controller_) {
-    quantum_controller_ = std::make_unique<QuantumController>(*this);
-    if (quantum_trace_depth_ != 0) {
-      quantum_controller_->set_trace_depth(quantum_trace_depth_);
-    }
+    quantum_controller_ = std::make_unique<QuantumController>(
+        *this, *config_.quantum_trace_depth);
   }
   quantum_controller_->set_policy(domain, policy);
 }
 
-void Kernel::set_quantum_trace_depth(std::size_t depth) {
-  if (depth == 0) {
-    Report::error("Kernel::set_quantum_trace_depth: depth must be >= 1");
-  }
-  if (active_task() != nullptr) {
-    Report::error("Kernel::set_quantum_trace_depth: cannot resize the "
-                  "decision trace from inside a parallel evaluation round");
-  }
-  quantum_trace_depth_ = depth;
-  config_.quantum_trace_depth = depth;
-  if (quantum_controller_) {
-    quantum_controller_->set_trace_depth(depth);
-  }
-}
-
-std::size_t Kernel::quantum_trace_depth() const {
-  return quantum_trace_depth_ != 0 ? quantum_trace_depth_
-                                   : kQuantumTraceDepth;
-}
-
 // --------------------------------------------------------------------------
-// Chunked channels (see core/chunk_protocol.h and ChunkFlushListener)
+// Chunked channels (see core/smart_fifo.h and ChunkFlushListener)
 // --------------------------------------------------------------------------
 
 void Kernel::register_chunk_flush(ChunkFlushListener* listener) {
@@ -401,24 +358,6 @@ void Kernel::unite_groups_locked(std::size_t a, std::size_t b) {
   group_version_++;
 }
 
-void Kernel::rebuild_groups_locked() {
-  for (std::size_t i = 0; i < group_parent_.size(); ++i) {
-    group_parent_[i].store(i, std::memory_order_relaxed);
-  }
-  for (const auto& domain : domains_) {
-    if (!domain->concurrent_) {
-      unite_groups_locked(domain->id(), 0);
-    }
-  }
-  for (const DomainLinkRecord& link : domain_links_) {
-    if (link.decoupled) {
-      continue;  // weighted lookahead edges never merge groups
-    }
-    unite_groups_locked(link.a, link.b);
-  }
-  group_version_++;
-}
-
 void Kernel::link_domains(SyncDomain& a, SyncDomain& b, const std::string& via,
                           Time min_latency) {
   if (&a.kernel() != this || &b.kernel() != this) {
@@ -492,7 +431,7 @@ std::vector<std::string> Kernel::explain_group(const SyncDomain& domain) const {
     if (!d->concurrent_ && unite(d->id(), 0)) {
       merges.push_back({d->id(), "'" + d->name() +
                                      "' never opted into concurrency "
-                                     "(SyncDomain::set_concurrent), so it is "
+                                     "(DomainOptions::concurrent), so it is "
                                      "serialized with the default group"});
     }
   }
@@ -538,18 +477,6 @@ std::vector<std::string> Kernel::explain_group(const SyncDomain& domain) const {
 
 std::size_t Kernel::domain_group(const SyncDomain& domain) const {
   return find_group(domain.id());
-}
-
-void Kernel::set_domain_concurrent(SyncDomain& domain, bool concurrent) {
-  if (initialized_) {
-    Report::error("SyncDomain::set_concurrent: domain '" + domain.name() +
-                  "' can only change concurrency during elaboration (the "
-                  "first run() has already initialized processes)");
-  }
-  note_external_elaboration();
-  domain.concurrent_ = concurrent;
-  std::lock_guard<std::mutex> lock(group_mutex_);
-  rebuild_groups_locked();
 }
 
 void Kernel::set_workers(std::size_t n) {

@@ -60,13 +60,13 @@ class UpdateListener {
   virtual void update() = 0;
 };
 
-/// Implemented by channels running in chunked mode (see
-/// core/chunk_protocol.h). The scheduler calls flush_chunks() at every
+/// Implemented by channels that publish in chunks (chunk capacity >= 2;
+/// see core/smart_fifo.h). The scheduler calls flush_chunks() at every
 /// cascade-drained point *before* simulated time advances -- the global
 /// horizon in run(), and each group-local wave boundary inside a lookahead
 /// free-run extension -- so a partially filled chunk is never outrun by
 /// the date its stamps were made at. That invariant is what keeps chunked
-/// data-path dates bit-exact with per-element mode.
+/// data-path dates bit-exact with per-element publication.
 class ChunkFlushListener {
  public:
   virtual ~ChunkFlushListener() = default;
@@ -337,21 +337,24 @@ class Kernel {
   /// groups differ. Mainly for tests and diagnostics.
   std::size_t domain_group(const SyncDomain& domain) const;
 
-  // --- chunked channels (see core/chunk_protocol.h) ---
+  // --- chunked channels (see core/smart_fifo.h) ---
 
-  /// Registers a channel running in chunked mode; the scheduler flushes
+  /// Registers a channel that publishes in chunks; the scheduler flushes
   /// it at every cascade-drained point before time advances. Channels
-  /// call this when entering chunked mode (set_chunk_capacity > 1) and
-  /// unregister when leaving it or on destruction. Registration order is
-  /// the deterministic flush order. Safe from inside a parallel round.
+  /// call this when their capacity rises to 2 or more and unregister when
+  /// it drops back to per-element publication, or on destruction.
+  /// Registration order is the deterministic flush order. Safe from
+  /// inside a parallel round.
   void register_chunk_flush(ChunkFlushListener* listener);
   void unregister_chunk_flush(ChunkFlushListener* listener);
 
-  /// Chunk capacity channels adopt at construction: 0 or 1 means
-  /// per-element mode (the default -- existing models and baselines are
-  /// bit-identical), >= 2 opts every new channel into chunked transfer
-  /// with that capacity. Seeded from $TDSIM_CHUNKED ("1" or a non-numeric
-  /// truthy value picks the default capacity of 16, a number >= 2 is the
+  /// Chunk capacity every SmartFifo, Fifo and SyncFifo adopts at
+  /// construction (FifoInterface::set_chunk_capacity): 0 or 1 publishes
+  /// per element (the default -- the capacity-1 case of the one
+  /// publication path, so existing models and baselines are
+  /// bit-identical), >= 2 batches publication per chunk of that many
+  /// accesses. Seeded from $TDSIM_CHUNKED ("1" or a non-numeric truthy
+  /// value picks the default capacity of 16, a number >= 2 is the
   /// capacity, unset/"0" stays per-element); per-channel
   /// set_chunk_capacity overrides either way.
   std::size_t default_chunk_capacity() const { return default_chunk_capacity_; }
@@ -369,16 +372,6 @@ class Kernel {
   /// processes join one at spawn time (ThreadOptions/MethodOptions::domain,
   /// Module::set_default_domain).
   SyncDomain& create_domain(const DomainOptions& options);
-
-  /// Positional legacy surface; forwards to the DomainOptions overload.
-  [[deprecated("use create_domain(DomainOptions) -- see the README migration table")]]
-  SyncDomain& create_domain(std::string name, Time quantum = Time{},
-                            bool concurrent = false);
-
-  /// Positional legacy surface; forwards to the DomainOptions overload.
-  [[deprecated("use create_domain(DomainOptions) -- see the README migration table")]]
-  SyncDomain& create_domain(std::string name, Time quantum, bool concurrent,
-                            const QuantumPolicy& policy);
 
   // --- adaptive quantum control (see kernel/quantum_controller.h) ---
 
@@ -406,20 +399,10 @@ class Kernel {
   const QuantumDecision* last_quantum_decision(const SyncDomain& domain) const;
 
   /// The domain's recent adaptive decisions, oldest first -- the last
-  /// quantum_trace_depth() of them (see kernel/quantum_controller.h).
-  /// Empty before the first decision or when the domain never had a
-  /// policy.
+  /// KernelConfig::quantum_trace_depth of them (see
+  /// kernel/quantum_controller.h). Empty before the first decision or
+  /// when the domain never had a policy.
   std::vector<QuantumDecision> decision_trace(const SyncDomain& domain) const;
-
-  /// Sets how many recent decisions every domain's trace ring keeps
-  /// (default kQuantumTraceDepth = 8). Raising it is the phase-mining
-  /// prerequisite: offline analysis wants whole episodes, not the last
-  /// eight records. Takes effect immediately on every existing ring,
-  /// preserving the newest min(old, new) decisions; pointers previously
-  /// returned by last_quantum_decision() are invalidated. Must be >= 1;
-  /// only callable with no parallel round in flight.
-  void set_quantum_trace_depth(std::size_t depth);
-  std::size_t quantum_trace_depth() const;
 
   /// The kernel's default synchronization domain: quantum policy,
   /// current-process temporal-decoupling operations, and per-cause sync
@@ -798,11 +781,7 @@ class Kernel {
   bool foreign_group_read(const SyncDomain& domain) const;
   std::optional<Time> published_front(std::size_t domain_id) const;
   void publish_domain_fronts();
-  /// Backs SyncDomain::set_concurrent; rebuilds the union-find from the
-  /// concurrency flags and the recorded links.
-  void set_domain_concurrent(SyncDomain& domain, bool concurrent);
   void unite_groups_locked(std::size_t a, std::size_t b);
-  void rebuild_groups_locked();
 
   Time now_;
   /// Domain registry; [0] is the default domain, created in the
@@ -926,8 +905,9 @@ class Kernel {
     Time min_latency{};
     bool decoupled = false;
   };
-  /// Every link ever declared (channel-observed or explicit), replayed
-  /// when set_concurrent rebuilds the union-find.
+  /// Every link ever declared (channel-observed or explicit):
+  /// explain_group() replays them, and the lookahead bounds read the
+  /// decoupled ones.
   std::vector<DomainLinkRecord> domain_links_;
   mutable std::mutex group_mutex_;
   /// Guards processes_ / next_process_id_ against concurrent dynamic
@@ -979,9 +959,6 @@ class Kernel {
   /// TDSIM_ADAPTIVE_QUANTUM was set: every domain gets a default policy
   /// at creation.
   bool env_adaptive_ = false;
-  /// See set_quantum_trace_depth(); 0 = the controller default
-  /// (kQuantumTraceDepth), stored here until the controller exists.
-  std::size_t quantum_trace_depth_ = 0;
 
   /// Chunked channels currently registered for horizon flushing, in
   /// registration order (the deterministic flush order). Guarded by

@@ -130,9 +130,7 @@ struct KernelConfig {
   KernelConfig resolved_over(const KernelConfig& fallback) const;
 };
 
-/// Everything create_domain needs, in one struct -- replaces the
-/// positional create_domain overloads and the post-hoc set_concurrent /
-/// set_quantum_policy / set_delta_cycle_limit mutator dance:
+/// Everything create_domain needs, in one struct:
 ///
 ///   kernel.create_domain({.name = "soc.cpu",
 ///                         .quantum = 10_ns,

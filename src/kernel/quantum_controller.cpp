@@ -107,31 +107,6 @@ std::vector<QuantumDecision> QuantumController::decision_trace(
   return out;
 }
 
-void QuantumController::set_trace_depth(std::size_t depth) {
-  if (depth == 0) {
-    Report::error("QuantumController::set_trace_depth: depth must be >= 1");
-  }
-  trace_depth_ = depth;
-  for (DomainState& state : states_) {
-    if (state.trace.empty()) {
-      continue;  // never had a policy attached; seeded on attach
-    }
-    // Rebuild the ring preserving the newest min(old count, new depth)
-    // decisions, laid out from slot 0 so the ring invariants hold.
-    const std::size_t old_depth = state.trace.size();
-    const std::size_t keep = std::min(state.trace_count, depth);
-    std::vector<QuantumDecision> rebuilt(depth);
-    for (std::size_t i = 0; i < keep; ++i) {
-      const std::size_t slot =
-          (state.trace_next + old_depth - keep + i) % old_depth;
-      rebuilt[i] = state.trace[slot];
-    }
-    state.trace = std::move(rebuilt);
-    state.trace_count = keep;
-    state.trace_next = keep % depth;
-  }
-}
-
 void QuantumController::on_horizon(KernelStats& stats, Time now) {
   std::vector<DomainStats>& domain_stats = stats.domains;
   // First pass: which adaptive domains have a ripe decision window? A few

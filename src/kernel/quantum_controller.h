@@ -103,9 +103,8 @@ enum class QuantumDirection : std::uint8_t { Hold, Grow, Shrink };
 /// Default depth of the per-domain decision-trace ring: the controller
 /// keeps the last this-many decisions per domain (Kernel::decision_trace /
 /// SyncDomain::decision_trace), enough to see a full confirm + escalate +
-/// clamp episode without unbounded growth. Runtime-adjustable via
-/// Kernel::set_quantum_trace_depth (offline phase mining wants whole
-/// episodes, not the last eight records).
+/// clamp episode without unbounded growth. KernelConfig::quantum_trace_depth
+/// (TDSIM_QUANTUM_TRACE) sets another depth at kernel construction.
 constexpr std::size_t kQuantumTraceDepth = 8;
 
 constexpr const char* to_string(QuantumDirection d) {
@@ -143,7 +142,11 @@ struct QuantumDecision {
 /// timed-wave boundary while at least one policy is attached.
 class QuantumController {
  public:
-  explicit QuantumController(Kernel& kernel) : kernel_(kernel) {}
+  /// `trace_depth` sizes every domain's decision-trace ring; 0 picks
+  /// kQuantumTraceDepth.
+  QuantumController(Kernel& kernel, std::size_t trace_depth)
+      : kernel_(kernel),
+        trace_depth_(trace_depth != 0 ? trace_depth : kQuantumTraceDepth) {}
   QuantumController(const QuantumController&) = delete;
   QuantumController& operator=(const QuantumController&) = delete;
 
@@ -156,22 +159,14 @@ class QuantumController {
   const QuantumPolicy* policy(const SyncDomain& domain) const;
 
   /// The domain's most recent decision, or null before the first one.
-  /// Same lifetime guarantee as policy() -- except across
-  /// set_trace_depth(), which reallocates the rings; the pointee is
-  /// rewritten as later decisions rotate through the trace ring.
+  /// Same lifetime guarantee as policy(); the pointee is rewritten as
+  /// later decisions rotate through the trace ring.
   const QuantumDecision* last_decision(const SyncDomain& domain) const;
 
-  /// The domain's recent decisions, oldest first: the last trace_depth()
-  /// of them (fewer early on). Empty for a domain that never had a policy
-  /// or has no decisions yet.
+  /// The domain's recent decisions, oldest first: as many as the trace
+  /// ring holds (fewer early on). Empty for a domain that never had a
+  /// policy or has no decisions yet.
   std::vector<QuantumDecision> decision_trace(const SyncDomain& domain) const;
-
-  /// Resizes every domain's decision-trace ring (default
-  /// kQuantumTraceDepth), preserving the newest min(old, new) decisions
-  /// of each. Invalidates pointers previously returned by
-  /// last_decision(). depth must be >= 1.
-  void set_trace_depth(std::size_t depth);
-  std::size_t trace_depth() const { return trace_depth_; }
 
   bool any_active() const { return active_count_ > 0; }
 
@@ -202,8 +197,7 @@ class QuantumController {
     /// Decision-trace ring, written at trace_next; the last trace_count
     /// slots (ending at trace_next - 1) are valid. Sized to the
     /// controller's trace depth when the domain's policy attaches (empty
-    /// for never-attached domains); resized in place by
-    /// set_trace_depth().
+    /// for never-attached domains).
     std::vector<QuantumDecision> trace;
     std::size_t trace_next = 0;
     std::size_t trace_count = 0;
@@ -247,9 +241,8 @@ class QuantumController {
   /// last_decision() stay valid when later set_policy calls grow it.
   std::deque<DomainState> states_;
   std::size_t active_count_ = 0;
-  /// See set_trace_depth(); newly attached policies size their ring to
-  /// this.
-  std::size_t trace_depth_ = kQuantumTraceDepth;
+  /// Every attached policy sizes its ring to this.
+  const std::size_t trace_depth_;
   /// Scratch for the per-horizon group-front computation (reused so ripe
   /// horizons allocate nothing in steady state).
   std::vector<std::size_t> group_roots_scratch_;

@@ -18,10 +18,6 @@ void SyncDomain::set_delta_cycle_limit(std::uint64_t limit) {
   }
 }
 
-void SyncDomain::set_quantum_policy(const QuantumPolicy& policy) {
-  kernel_.set_quantum_policy(*this, policy);
-}
-
 const QuantumPolicy* SyncDomain::quantum_policy() const {
   return kernel_.quantum_policy(*this);
 }
@@ -80,10 +76,6 @@ Time SyncDomain::max_offset() const {
     }
   }
   return max;
-}
-
-void SyncDomain::set_concurrent(bool concurrent) {
-  kernel_.set_domain_concurrent(*this, concurrent);
 }
 
 LocalClock& SyncDomain::current_clock() const {

@@ -75,15 +75,9 @@ class SyncDomain {
   /// the next synchronization horizon, recorded as a "clamped" decision.
   void set_quantum(Time quantum) { quantum_ = quantum; }
 
-  /// Opts this domain into adaptive quantum control (delegates to
-  /// Kernel::set_quantum_policy; see kernel/quantum_controller.h).
-  /// Deprecated: pass DomainOptions::policy at creation, or use
-  /// Kernel::set_quantum_policy for mid-run re-policying.
-  [[deprecated("pass DomainOptions::policy to Kernel::create_domain, or use "
-               "Kernel::set_quantum_policy")]]
-  void set_quantum_policy(const QuantumPolicy& policy);
-
-  /// The attached adaptive policy, or null when the quantum is fixed.
+  /// The attached adaptive policy (DomainOptions::policy at creation, or
+  /// Kernel::set_quantum_policy; see kernel/quantum_controller.h), or null
+  /// when the quantum is fixed.
   const QuantumPolicy* quantum_policy() const;
 
   /// The adaptive controller's most recent decision for this domain, or
@@ -108,8 +102,9 @@ class SyncDomain {
 
   // --- concurrency (parallel per-domain execution) ---
 
-  /// Opts this domain into concurrent execution: it starts in its own
-  /// concurrency group instead of the default group, so under
+  /// Whether the domain opted into concurrent execution at creation
+  /// (DomainOptions::concurrent): it then starts in its own concurrency
+  /// group instead of the default group, so under
   /// Kernel::set_workers(n >= 2) it may run on a worker thread in
   /// parallel with other groups. Channels that later carry its traffic
   /// to another domain automatically merge the two groups back
@@ -117,10 +112,7 @@ class SyncDomain {
   /// them -- only *truly* independent domains ever run concurrently, and
   /// results stay bit-identical to the sequential schedule. Couplings no
   /// channel can see (a plain variable shared across domains) must be
-  /// declared with Kernel::link_domains by hand. Elaboration-only.
-  /// Deprecated: pass DomainOptions::concurrent at creation.
-  [[deprecated("pass DomainOptions::concurrent to Kernel::create_domain")]]
-  void set_concurrent(bool concurrent);
+  /// declared with Kernel::link_domains by hand.
   bool concurrent() const { return concurrent_; }
 
   // --- membership / scheduler bookkeeping ---
@@ -246,7 +238,7 @@ class SyncDomain {
   // domain's wave bookkeeping from false-sharing with a neighbour's --
   // see kernel/cacheline.h.
   alignas(kCacheLineSize) Time quantum_{};
-  /// See set_concurrent(); seeds the concurrency-group membership.
+  /// See concurrent(); seeds the concurrency-group membership.
   bool concurrent_ = false;
   std::uint64_t delta_limit_ = 0;
   /// Consecutive delta cycles at the current date with members runnable.

@@ -1,8 +1,9 @@
 // Dual-mode scenario harness (paper SIV.A): "Each test is executed in two
 // modes: 1. using regular FIFOs and no temporal decoupling, 2. using the
-// Smart FIFO and temporal decoupling". We additionally run the case-study
-// baseline (decoupled processes + synchronizing FIFOs) as a third mode; all
-// three must produce identical reordered traces.
+// Smart FIFO and temporal decoupling". We additionally run the Smart FIFO
+// with chunked publication, and the case-study baseline (decoupled
+// processes + synchronizing FIFOs); every mode must produce the reference
+// mode's reordered trace.
 //
 // A scenario is written once against ScenarioEnv; the harness instantiates
 // it per mode, runs it in a fresh kernel, and compares the recorded traces.
@@ -21,12 +22,18 @@
 
 namespace tdsim::trace {
 
+/// The chunk capacity of Mode::SmartChunked (TDSIM_CHUNKED=1's default).
+inline constexpr std::size_t kScenarioChunkCapacity = 16;
+
 enum class Mode {
   /// Regular FIFO + plain wait() annotations: the reference (paper "timed
   /// with no decoupling and regular FIFO").
   Reference,
   /// Smart FIFO + inc() annotations: the paper's solution ("TDfull").
   SmartDecoupled,
+  /// SmartDecoupled with every Smart FIFO at chunk capacity
+  /// kScenarioChunkCapacity: publication batched per chunk.
+  SmartChunked,
   /// Synchronizing FIFO + inc() annotations: the case-study baseline
   /// ("FIFOs that call sync at each access").
   SyncDecoupled,
@@ -36,6 +43,7 @@ inline const char* mode_name(Mode m) {
   switch (m) {
     case Mode::Reference: return "Reference";
     case Mode::SmartDecoupled: return "SmartDecoupled";
+    case Mode::SmartChunked: return "SmartChunked";
     case Mode::SyncDecoupled: return "SyncDecoupled";
   }
   return "?";
@@ -68,8 +76,12 @@ class ScenarioEnv {
   FifoInterface<int>& fifo(const std::string& name, std::size_t depth) {
     switch (mode_) {
       case Mode::SmartDecoupled:
+      case Mode::SmartChunked:
         fifos_.push_back(std::make_unique<SmartFifo<int>>(
             kernel_, name, depth, mutations_));
+        if (mode_ == Mode::SmartChunked) {
+          fifos_.back()->set_chunk_capacity(kScenarioChunkCapacity);
+        }
         break;
       case Mode::Reference:
       case Mode::SyncDecoupled:

@@ -1,9 +1,10 @@
-// Chunked channel modes (core/chunk_protocol.h): cross-domain SmartFifo
+// Chunked publication (core/smart_fifo.h): cross-domain SmartFifo
 // transfer under lookahead free-running stays bit-exact with per-element
-// mode and with itself across worker counts, mid-run mode switches are
-// clean, partial chunks flush at horizons and at run() exit, and the
-// SyncFifo / Fifo chunked modes batch their accounting without moving a
-// date.
+// publication and with itself across worker counts, mid-run capacity
+// changes are clean -- also while the peer is suspended in a blocking
+// call -- partial chunks flush at horizons and at run() exit, and the
+// SyncFifo / Fifo chunk capacities batch their accounting without moving
+// a date.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -14,6 +15,7 @@
 #include "core/sync_fifo.h"
 #include "kernel/fifo.h"
 #include "kernel/kernel.h"
+#include "kernel/kernel_config.h"
 #include "kernel/sync_domain.h"
 
 namespace tdsim {
@@ -168,6 +170,91 @@ TEST(ChunkedFifo, ChunkedBitExactAcrossWorkersUnderFreeRun) {
   }
 }
 
+/// One side changes the FIFO's capacity from `from` to `to` while the
+/// other side is suspended in a blocking call: the reader while the
+/// writer waits on a full FIFO, or the writer while the reader waits on
+/// an empty one. The switching side is the slow one, so its peer keeps
+/// running into the blocking path; the switch happens at the first
+/// access from kSwitchAt on that finds the peer inside its call, and the
+/// switching side then synchronizes.
+struct SuspendedSwitchRun {
+  DateTrace dates;
+  bool switched = false;
+  /// The peer's block counter had moved inside the very call it was
+  /// suspended in when the capacity changed.
+  bool peer_blocked_in_call = false;
+};
+
+SuspendedSwitchRun run_switch_while_peer_suspended(std::size_t from,
+                                                   std::size_t to,
+                                                   bool reader_switches) {
+  constexpr int kItems = 30;
+  constexpr int kSwitchAt = 10;
+  Kernel k;
+  SmartFifo<int> fifo(k, "suspended_switch", 4);
+  fifo.set_chunk_capacity(from);
+  SuspendedSwitchRun run;
+  std::vector<Time> writer_dates;
+  std::vector<Time> reader_dates;
+  bool writer_in_call = false;
+  bool reader_in_call = false;
+  std::uint64_t blocks_at_call = 0;
+  const Time fast = 2_ns;
+  const Time slow = 20_ns;
+  const auto maybe_switch = [&](int i, bool peer_in_call,
+                                std::uint64_t peer_blocks) {
+    if (run.switched || i < kSwitchAt || !peer_in_call) {
+      return;
+    }
+    run.peer_blocked_in_call = peer_blocks == blocks_at_call + 1;
+    fifo.set_chunk_capacity(to);
+    run.switched = true;
+    // Suspend right after the change: a span the change failed to
+    // publish would leave the peer asleep until this side's next access.
+    k.sync_domain().sync();
+  };
+  k.spawn_thread("writer", [&] {
+    for (int i = 0; i < kItems; ++i) {
+      k.sync_domain().inc(reader_switches ? fast : slow);
+      if (reader_switches) {
+        blocks_at_call = fifo.writer_blocks();
+      } else {
+        maybe_switch(i, reader_in_call, fifo.reader_blocks());
+      }
+      writer_in_call = true;
+      fifo.write(i);
+      writer_in_call = false;
+      writer_dates.push_back(k.sync_domain().local_time_stamp());
+    }
+  });
+  k.spawn_thread("reader", [&] {
+    for (int i = 0; i < kItems; ++i) {
+      k.sync_domain().inc(reader_switches ? slow : fast);
+      if (reader_switches) {
+        maybe_switch(i, writer_in_call, fifo.writer_blocks());
+      } else {
+        blocks_at_call = fifo.reader_blocks();
+      }
+      reader_in_call = true;
+      const int v = fifo.read();
+      reader_in_call = false;
+      reader_dates.push_back(v == i ? k.sync_domain().local_time_stamp()
+                                    : Time::max());
+    }
+  });
+  k.run();
+  // dates.end stays unset: nothing observes the external-view events
+  // here, so the kernel's end date may follow an unobserved re-arm that
+  // a larger chunk schedules differently (see core/smart_fifo.h). Every
+  // data-path date is recorded above.
+  run.dates.dates = writer_dates;
+  run.dates.dates.insert(run.dates.dates.end(), reader_dates.begin(),
+                         reader_dates.end());
+  run.dates.writer_blocks = fifo.writer_blocks();
+  run.dates.reader_blocks = fifo.reader_blocks();
+  return run;
+}
+
 TEST(ChunkedFifo, MidRunCapacitySwitchKeepsDatesExact) {
   const ClusterRun element = run_clusters(0, 1);
   for (std::size_t workers : {0u, 2u}) {
@@ -175,6 +262,27 @@ TEST(ChunkedFifo, MidRunCapacitySwitchKeepsDatesExact) {
         run_clusters(workers, 16, 40, /*switch_capacity_at=*/20);
     expect_dates_equal(element.dates, switched.dates,
                        "mid-run switch, workers=" + std::to_string(workers));
+  }
+  // The same switches while the peer is suspended in a blocking call:
+  // it resumes under the new capacity, with every date and block count
+  // still those of per-element publication.
+  struct Switch {
+    std::size_t from, to;
+  };
+  for (bool reader_switches : {true, false}) {
+    const SuspendedSwitchRun reference =
+        run_switch_while_peer_suspended(1, 1, reader_switches);
+    for (const Switch sw : {Switch{16, 1}, Switch{1, 16}, Switch{16, 4}}) {
+      const std::string what =
+          std::string(reader_switches ? "reader" : "writer") +
+          " switches " + std::to_string(sw.from) + "->" +
+          std::to_string(sw.to) + " with the peer suspended";
+      const SuspendedSwitchRun run =
+          run_switch_while_peer_suspended(sw.from, sw.to, reader_switches);
+      ASSERT_TRUE(run.switched) << what;
+      EXPECT_TRUE(run.peer_blocked_in_call) << what;
+      expect_dates_equal(reference.dates, run.dates, what);
+    }
   }
 }
 
@@ -189,6 +297,32 @@ TEST(ChunkedFifo, PartialChunksFlushAtHorizonsAndRunExit) {
     const ClusterRun chunked = run_clusters(workers, 64, 37);
     expect_dates_equal(element.dates, chunked.dates,
                        "partial chunks, workers=" + std::to_string(workers));
+  }
+}
+
+/// chunk_capacity() is 0 on every per-element channel -- capacity 0 and 1
+/// are the same publication rule -- and the capacity otherwise, whether
+/// it came from the kernel default or from set_chunk_capacity.
+TEST(ChunkedFifo, PerElementChannelsReportCapacityZero) {
+  for (std::size_t kernel_default : {0u, 1u, 16u}) {
+    Kernel k(KernelConfig{.default_chunk_capacity = kernel_default});
+    SmartFifo<int> smart(k, "cap_smart", 4);
+    Fifo<int> plain(k, "cap_plain", 4);
+    SyncFifo<int> sync(k, "cap_sync", 4);
+    const std::size_t want = kernel_default >= 2 ? kernel_default : 0;
+    const std::string what = "default=" + std::to_string(kernel_default);
+    EXPECT_EQ(smart.chunk_capacity(), want) << what;
+    EXPECT_EQ(plain.chunk_capacity(), want) << what;
+    EXPECT_EQ(sync.chunk_capacity(), want) << what;
+    for (std::size_t capacity : {1u, 8u, 0u}) {
+      smart.set_chunk_capacity(capacity);
+      plain.set_chunk_capacity(capacity);
+      sync.set_chunk_capacity(capacity);
+      const std::size_t now = capacity >= 2 ? capacity : 0;
+      EXPECT_EQ(smart.chunk_capacity(), now) << what;
+      EXPECT_EQ(plain.chunk_capacity(), now) << what;
+      EXPECT_EQ(sync.chunk_capacity(), now) << what;
+    }
   }
 }
 

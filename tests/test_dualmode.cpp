@@ -1,6 +1,7 @@
 // Dual-mode validation (paper SIV.A): every scenario runs in the reference
 // mode (regular FIFO, no decoupling), in the Smart FIFO mode (full temporal
-// decoupling) and in the case-study baseline mode (decoupled processes,
+// decoupling), in the Smart FIFO mode with chunked publication (capacity
+// 16), and in the case-study baseline mode (decoupled processes,
 // synchronizing FIFOs). After reordering by date, the traces must be
 // identical -- behavior and timing unchanged, only the schedule differs.
 #include <gtest/gtest.h>
@@ -18,16 +19,19 @@ using trace::Mode;
 using trace::Scenario;
 using trace::ScenarioEnv;
 
-/// Runs `scenario` in all three modes and asserts sorted-trace equality.
+/// Runs `scenario` in every mode and asserts each mode's sorted trace
+/// equals the Reference one.
 void expect_all_modes_equal(const Scenario& scenario) {
   auto reference = trace::run_scenario(scenario, Mode::Reference);
-  auto smart = trace::run_scenario(scenario, Mode::SmartDecoupled);
-  auto sync = trace::run_scenario(scenario, Mode::SyncDecoupled);
   ASSERT_GT(reference->recorder().size(), 0u) << "scenario recorded nothing";
-  auto diff = trace::compare_sorted(reference->recorder(), smart->recorder());
-  EXPECT_FALSE(diff.has_value()) << "Reference vs SmartDecoupled: " << *diff;
-  diff = trace::compare_sorted(reference->recorder(), sync->recorder());
-  EXPECT_FALSE(diff.has_value()) << "Reference vs SyncDecoupled: " << *diff;
+  for (Mode mode : {Mode::SmartDecoupled, Mode::SmartChunked,
+                    Mode::SyncDecoupled}) {
+    auto run = trace::run_scenario(scenario, mode);
+    const auto diff =
+        trace::compare_sorted(reference->recorder(), run->recorder());
+    EXPECT_FALSE(diff.has_value())
+        << "Reference vs " << trace::mode_name(mode) << ": " << *diff;
+  }
 }
 
 /// Writer writes then delays `write_period`; reader delays `read_period`
@@ -301,13 +305,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(DualMode, SmartModeUsesFewerContextSwitches) {
   const Scenario scenario = producer_consumer(16, 10_ns, 10_ns, 200);
   auto reference = trace::run_scenario(scenario, Mode::Reference);
-  auto smart = trace::run_scenario(scenario, Mode::SmartDecoupled);
   const auto& ref_stats = reference->kernel().stats();
-  const auto& smart_stats = smart->kernel().stats();
   // Reference: ~1 context switch per access (2 processes x 200 accesses).
   EXPECT_GT(ref_stats.context_switches, 300u);
-  // Smart: only at internal full/empty boundaries.
-  EXPECT_LT(smart_stats.context_switches, ref_stats.context_switches / 4);
+  for (Mode mode : {Mode::SmartDecoupled, Mode::SmartChunked}) {
+    auto smart = trace::run_scenario(scenario, mode);
+    // Smart: only at internal full/empty boundaries.
+    EXPECT_LT(smart->kernel().stats().context_switches,
+              ref_stats.context_switches / 4)
+        << trace::mode_name(mode);
+  }
 }
 
 }  // namespace

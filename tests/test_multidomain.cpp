@@ -457,34 +457,6 @@ TEST(MultiDomain, SplitDomainSocAttributesSyncsPerDomain) {
   EXPECT_EQ(kernel.sync_domain().stats().sync_requests, 0u);
 }
 
-// The deprecated positional create_domain overloads and the SyncDomain
-// mutators must keep forwarding faithfully into the DomainOptions path
-// until they are removed -- exercised here with the warning silenced on
-// purpose (everywhere else the deprecation is a build error under
-// -DTDSIM_WERROR=ON).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(MultiDomain, DeprecatedPositionalSurfaceStillForwards) {
-  Kernel k;
-  SyncDomain& plain = k.create_domain("legacy_plain", 10_ns);
-  EXPECT_EQ(plain.quantum(), 10_ns);
-  EXPECT_FALSE(plain.concurrent());
-  SyncDomain& conc = k.create_domain("legacy_conc", 20_ns, true);
-  EXPECT_TRUE(conc.concurrent());
-  QuantumPolicy policy;
-  policy.min_quantum = 10_ns;
-  policy.max_quantum = 10_us;
-  SyncDomain& tuned = k.create_domain("legacy_tuned", 30_ns, false, policy);
-  ASSERT_NE(tuned.quantum_policy(), nullptr);
-  EXPECT_EQ(tuned.quantum_policy()->max_quantum, 10_us);
-  SyncDomain& mutated = k.create_domain("legacy_mutated", 40_ns);
-  mutated.set_concurrent(true);
-  EXPECT_TRUE(mutated.concurrent());
-  mutated.set_quantum_policy(policy);
-  ASSERT_NE(mutated.quantum_policy(), nullptr);
-}
-#pragma GCC diagnostic pop
-
 TEST(MultiDomain, DomainBoundQuantumKeeper) {
   Kernel k;
   SyncDomain& cpu = k.create_domain({.name = "cpu", .quantum = 100_ns});

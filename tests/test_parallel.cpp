@@ -1,11 +1,11 @@
 // Parallel per-domain execution (Kernel::set_workers): sequential-vs-
 // parallel bit-exactness (dates, delta counts, per-cause sync counts) on
 // single- and multi-group models, concurrency-group formation (explicit
-// set_concurrent/link_domains and channel-discovered links, including
-// links first discovered mid-run), cross-domain Smart-FIFO traffic under
-// 1/2/4 workers, repeated run() reentry, stop() semantics, mid-run stats
-// probes, the TDSIM_WORKERS environment default, and a randomized
-// domain-membership stress (fixed seed).
+// DomainOptions::concurrent/link_domains and channel-discovered links,
+// including links first discovered mid-run), cross-domain Smart-FIFO
+// traffic under 1/2/4 workers, repeated run() reentry, stop() semantics,
+// mid-run stats probes, the TDSIM_WORKERS environment default, and a
+// randomized domain-membership stress (fixed seed).
 #include <gtest/gtest.h>
 
 #include <cstdlib>

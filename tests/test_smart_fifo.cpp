@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <string>
 #include <vector>
 
-#include "kernel/sync_domain.h"
 #include "kernel/kernel.h"
+#include "kernel/kernel_config.h"
 #include "kernel/report.h"
+#include "kernel/sync_domain.h"
 
 namespace tdsim {
 namespace {
@@ -368,6 +372,241 @@ TEST(SmartFifo, MoveOnlyPayloadSupported) {
   k.spawn_thread("rd", [&] { got = *f.read(); });
   k.run();
   EXPECT_EQ(got, 11);
+}
+
+// ---------------------------------------------------------------------
+// Pinned per-element counts. Dates alone do not pin a per-element Smart
+// FIFO (capacity 0 or 1): how it publishes also decides how many delta
+// cycles, timed waves, event triggers, context switches and per-cause
+// syncs a run takes, and how often each side blocks. These models pin
+// those exact values, so a change in how a capacity-1 channel publishes
+// shows up here even when every date still matches.
+// ---------------------------------------------------------------------
+
+struct PinnedCounts {
+  std::uint64_t delta_cycles = 0;
+  std::uint64_t timed_waves = 0;
+  std::uint64_t event_triggers = 0;
+  std::uint64_t context_switches = 0;
+  /// One entry per domain, in creation order (the default domain first),
+  /// each indexed by SyncCause.
+  std::vector<std::array<std::uint64_t, kSyncCauseCount>> syncs_by_cause;
+  std::uint64_t writer_blocks = 0;
+  std::uint64_t reader_blocks = 0;
+};
+
+/// Explicit on every knob that moves counts, so the pins hold whatever
+/// TDSIM_* variables the suite runs under.
+KernelConfig per_element_config(std::size_t workers = 0) {
+  return KernelConfig{.workers = workers,
+                      .default_chunk_capacity = 0,
+                      .adaptive_quantum = false,
+                      .lookahead_limit = 64};
+}
+
+PinnedCounts capture_counts(const Kernel& k,
+                            const std::vector<const SmartFifo<int>*>& fifos) {
+  PinnedCounts counts;
+  const KernelStats& stats = k.stats();
+  counts.delta_cycles = stats.delta_cycles;
+  counts.timed_waves = stats.timed_waves;
+  counts.event_triggers = stats.event_triggers;
+  counts.context_switches = stats.context_switches;
+  for (const DomainStats& domain : stats.domains) {
+    counts.syncs_by_cause.push_back(domain.syncs_by_cause);
+  }
+  for (const SmartFifo<int>* fifo : fifos) {
+    counts.writer_blocks += fifo->writer_blocks();
+    counts.reader_blocks += fifo->reader_blocks();
+  }
+  return counts;
+}
+
+void expect_counts(const PinnedCounts& got, const PinnedCounts& want,
+                   const std::string& what) {
+  EXPECT_EQ(got.delta_cycles, want.delta_cycles) << what;
+  EXPECT_EQ(got.timed_waves, want.timed_waves) << what;
+  EXPECT_EQ(got.event_triggers, want.event_triggers) << what;
+  EXPECT_EQ(got.context_switches, want.context_switches) << what;
+  EXPECT_EQ(got.syncs_by_cause, want.syncs_by_cause) << what;
+  EXPECT_EQ(got.writer_blocks, want.writer_blocks) << what;
+  EXPECT_EQ(got.reader_blocks, want.reader_blocks) << what;
+}
+
+/// Paper Fig. 1: writer writes then waits 20 ns, reader waits 15 ns then
+/// reads, depth 1.
+PinnedCounts run_fig1_pair(std::size_t capacity) {
+  Kernel k(per_element_config());
+  SmartFifo<int> f(k, "f", 1);
+  f.set_chunk_capacity(capacity);
+  k.spawn_thread("writer", [&] {
+    for (int i = 1; i <= 3; ++i) {
+      f.write(i);
+      k.sync_domain().inc(20_ns);
+    }
+  });
+  k.spawn_thread("reader", [&] {
+    for (int i = 1; i <= 3; ++i) {
+      k.sync_domain().inc(15_ns);
+      EXPECT_EQ(f.read(), i);
+    }
+  });
+  k.run();
+  return capture_counts(k, {&f});
+}
+
+/// source -> transmitter -> sink over two FIFOs of `depth` cells, in a
+/// 30 ns quantum the source honors. The sink is a synchronized observer
+/// using the guarded is_empty()/not_empty_event() pattern, so the delayed
+/// external-view events count too, and a decoupled monitor polls
+/// get_size() on the first FIFO.
+PinnedCounts run_three_stage_pipeline(std::size_t depth,
+                                      std::size_t capacity) {
+  Kernel k(per_element_config());
+  k.sync_domain().set_quantum(30_ns);
+  SmartFifo<int> f1(k, "f1", depth);
+  SmartFifo<int> f2(k, "f2", depth);
+  f1.set_chunk_capacity(capacity);
+  f2.set_chunk_capacity(capacity);
+  constexpr int kItems = 25;
+  k.spawn_thread("source", [&] {
+    for (int i = 0; i < kItems; ++i) {
+      f1.write(i);
+      k.sync_domain().inc_and_sync_if_needed(10_ns);
+    }
+  });
+  k.spawn_thread("transmitter", [&] {
+    for (int i = 0; i < kItems; ++i) {
+      const int v = f1.read();
+      k.sync_domain().inc(4_ns);
+      f2.write(v);
+    }
+  });
+  k.spawn_thread("sink", [&] {
+    for (int i = 0; i < kItems; ++i) {
+      while (f2.is_empty()) {
+        k.wait(f2.not_empty_event());
+      }
+      EXPECT_EQ(f2.read(), i);
+      k.wait(11_ns);
+    }
+  });
+  k.spawn_thread("monitor", [&] {
+    for (int i = 0; i < 8; ++i) {
+      k.sync_domain().inc(37_ns);
+      (void)f1.get_size();
+    }
+  });
+  k.run();
+  return capture_counts(k, {&f1, &f2});
+}
+
+/// Two producer/consumer clusters, each across two concurrent domains
+/// with different quanta (the test_chunked_fifo shape): under workers the
+/// clusters free-run past the global horizon on the pool.
+PinnedCounts run_cross_domain_pairs(std::size_t workers,
+                                    std::size_t capacity) {
+  Kernel k(per_element_config(workers));
+  std::vector<std::unique_ptr<SmartFifo<int>>> fifos;
+  for (int c = 0; c < 2; ++c) {
+    const std::string suffix = std::to_string(c);
+    SyncDomain& producer_side = k.create_domain(
+        {.name = "xp" + suffix, .quantum = 40_ns, .concurrent = true});
+    SyncDomain& consumer_side = k.create_domain(
+        {.name = "xc" + suffix, .quantum = 300_ns, .concurrent = true});
+    fifos.push_back(std::make_unique<SmartFifo<int>>(k, "xf" + suffix, 3));
+    SmartFifo<int>& fifo = *fifos.back();
+    fifo.set_chunk_capacity(capacity);
+    fifo.declare_cell_latency(40_ns);
+    ThreadOptions popts;
+    popts.domain = &producer_side;
+    k.spawn_thread("producer" + suffix, [&k, &fifo, c] {
+      for (int i = 0; i < 40; ++i) {
+        k.current_domain().inc((i % 5 + 1 + c) * 3_ns);
+        fifo.write(i);
+      }
+    }, popts);
+    ThreadOptions copts;
+    copts.domain = &consumer_side;
+    k.spawn_thread("consumer" + suffix, [&k, &fifo, c] {
+      for (int i = 0; i < 40; ++i) {
+        EXPECT_EQ(fifo.read(), i);
+        k.current_domain().inc((i % 3 + 1 + c) * 4_ns);
+      }
+    }, copts);
+  }
+  k.run();
+  return capture_counts(k, {fifos[0].get(), fifos[1].get()});
+}
+
+// Capacity 0 is the constructor default under per_element_config(); 1 is
+// the explicit per-element setting. Both must give the same counts.
+
+TEST(SmartFifoPinnedCounts, Fig1Pair) {
+  const PinnedCounts want{
+      .delta_cycles = 10,
+      .timed_waves = 5,
+      .event_triggers = 12,
+      .context_switches = 6,
+      .syncs_by_cause = {{0, 0, 2, 2, 0, 0, 0}},
+      .writer_blocks = 2,
+      .reader_blocks = 2};
+  for (std::size_t capacity : {0u, 1u}) {
+    expect_counts(run_fig1_pair(capacity), want,
+                  "capacity=" + std::to_string(capacity));
+  }
+}
+
+TEST(SmartFifoPinnedCounts, ThreeStagePipelineDepth1) {
+  const PinnedCounts want{
+      .delta_cycles = 158,
+      .timed_waves = 77,
+      .event_triggers = 200,
+      .context_switches = 117,
+      .syncs_by_cause = {{0, 0, 41, 8, 0, 8, 0}},
+      .writer_blocks = 41,
+      .reader_blocks = 17};
+  for (std::size_t capacity : {0u, 1u}) {
+    expect_counts(run_three_stage_pipeline(1, capacity), want,
+                  "capacity=" + std::to_string(capacity));
+  }
+}
+
+TEST(SmartFifoPinnedCounts, ThreeStagePipelineDepth4) {
+  const PinnedCounts want{
+      .delta_cycles = 101,
+      .timed_waves = 59,
+      .event_triggers = 85,
+      .context_switches = 62,
+      .syncs_by_cause = {{0, 8, 1, 7, 0, 8, 0}},
+      .writer_blocks = 1,
+      .reader_blocks = 8};
+  for (std::size_t capacity : {0u, 1u}) {
+    expect_counts(run_three_stage_pipeline(4, capacity), want,
+                  "capacity=" + std::to_string(capacity));
+  }
+}
+
+TEST(SmartFifoPinnedCounts, CrossDomainPairsAtWorkers0And2) {
+  const PinnedCounts want{
+      .delta_cycles = 119,
+      .timed_waves = 69,
+      .event_triggers = 133,
+      .context_switches = 59,
+      .syncs_by_cause = {{0, 0, 0, 0, 0, 0, 0},
+                         {0, 0, 13, 0, 0, 0, 0},
+                         {0, 0, 0, 13, 0, 0, 0},
+                         {0, 0, 13, 0, 0, 0, 0},
+                         {0, 0, 0, 13, 0, 0, 0}},
+      .writer_blocks = 26,
+      .reader_blocks = 26};
+  for (std::size_t workers : {0u, 2u}) {
+    for (std::size_t capacity : {0u, 1u}) {
+      expect_counts(run_cross_domain_pairs(workers, capacity), want,
+                    "workers=" + std::to_string(workers) +
+                        " capacity=" + std::to_string(capacity));
+    }
+  }
 }
 
 }  // namespace
