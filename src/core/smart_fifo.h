@@ -127,9 +127,11 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   /// is_full().
   void write(T value) override {
     // The writer's process, domain and clock are resolved once per access
-    // (one thread-local read); every date operation below then works on
-    // the clock directly. This is the channel-side hot path the adaptive
-    // quantum tuner leans on -- see "sync-cause hinting" below.
+    // (one thread-local read), and the local date is read once and shared
+    // by the side-order check, the time bump and the stamp: a write that
+    // neither blocks nor publishes calls nothing but Kernel::thread_exec().
+    // This is the channel-side hot path the adaptive quantum tuner leans
+    // on -- see "sync-cause hinting" below.
     Process& p = require_process("write");
     SyncDomain& domain = p.domain();
     LocalClock& clock = p.clock();
@@ -137,7 +139,8 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     if (total_writes_ == writes_published_) {
       domain_link_.touch(domain);  // once per chunk
     }
-    check_side_order(clock, last_write_date_, "write");
+    Time date = clock.now();
+    check_side_order(date, last_write_date_, "write");
     if (total_writes_ - total_reads_ == cells_.size()) {
       // Step 1: internally full -- synchronize, then wait for a free cell.
       // Both sides publish first: a reader waiting on internal_data_ needs
@@ -153,14 +156,14 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
       while (total_writes_ - total_reads_ == cells_.size()) {
         kernel_.wait(internal_space_);
       }
+      date = clock.now();  // the suspension moved the global date
     }
     Cell& cell = cells_[write_index_];
     // Step 2: the cell may still be "occupied" in real time; push the
     // writer's local date to the date the cell was freed.
     if (!mutated(m, &SmartFifoMutations::skip_writer_time_bump)) {
-      clock.advance_to(cell.freeing_date);
+      raise_local_date(clock, date, cell.freeing_date);
     }
-    const Time date = clock.now();
     last_write_date_ = date;
     // Step 3: fill the cell and stamp the insertion.
     cell.data = std::move(value);
@@ -219,7 +222,8 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
     if (total_reads_ == reads_published_) {
       domain_link_.touch(domain);
     }
-    check_side_order(clock, last_read_date_, "read");
+    Time date = clock.now();
+    check_side_order(date, last_read_date_, "read");
     if (total_writes_ == total_reads_) {
       // Internally empty -- publish both sides, synchronize, then wait for
       // data; re-check after the synchronization (see write()).
@@ -231,14 +235,14 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
       while (total_writes_ == total_reads_) {
         kernel_.wait(internal_data_);
       }
+      date = clock.now();
     }
     Cell& cell = cells_[read_index_];
     // The data may not have arrived yet in real time; push the reader's
     // local date to the insertion date.
     if (!mutated(m, &SmartFifoMutations::skip_reader_time_bump)) {
-      clock.advance_to(cell.insertion_date);
+      raise_local_date(clock, date, cell.insertion_date);
     }
-    const Time date = clock.now();
     last_read_date_ = date;
     T value = std::move(cell.data);
     cell.busy = false;
@@ -462,32 +466,47 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   }
 
   /// The calling process -- the data-path interfaces are only usable from
-  /// inside a simulation process (there is no local date to stamp
-  /// otherwise).
+  /// inside a simulation process of this FIFO's kernel (there is no local
+  /// date to stamp otherwise).
   Process& require_process(const char* what) const {
     Process* p = kernel_.current_process();
-    if (p == nullptr) {
-      Report::error("SmartFifo " + name_ + ": " + what +
-                    " called outside of a simulation process");
+    if (p == nullptr) [[unlikely]] {
+      outside_process_error(what);
     }
     return *p;
   }
 
   /// Both sides require non-decreasing access dates (paper Fig. 4
   /// "requires ordered dates"); violating this means an arbiter is
-  /// missing in the design.
-  void check_side_order(const LocalClock& clock, Time last_date,
-                        const char* side) const {
-    if (!check_side_order_) {
-      return;  // keep the disabled check free on the hot path
+  /// missing in the design. `date` is the caller's local date.
+  void check_side_order(Time date, Time last_date, const char* side) const {
+    if (check_side_order_ && date < last_date) [[unlikely]] {
+      side_order_error(date, last_date, side);
     }
-    const Time date = clock.now();
-    if (date < last_date) {
-      Report::error("SmartFifo " + name_ + ": " + side +
-                    " access date went backwards (" + date.to_string() +
-                    " after " + last_date.to_string() +
-                    "); an arbiter is required");
+  }
+
+  /// Raises the caller's local date `date` (its clock's now()) to `stamp`
+  /// when the stamp is in its future -- LocalClock::advance_to without
+  /// re-reading the global date.
+  static void raise_local_date(LocalClock& clock, Time& date, Time stamp) {
+    if (stamp > date) {
+      clock.inc(stamp - date);
+      date = stamp;
     }
+  }
+
+  [[noreturn, gnu::cold, gnu::noinline]] void outside_process_error(
+      const char* what) const {
+    Report::error("SmartFifo " + name_ + ": " + what +
+                  " called outside of a simulation process");
+  }
+
+  [[noreturn, gnu::cold, gnu::noinline]] void side_order_error(
+      Time date, Time last_date, const char* side) const {
+    Report::error("SmartFifo " + name_ + ": " + side +
+                  " access date went backwards (" + date.to_string() +
+                  " after " + last_date.to_string() +
+                  "); an arbiter is required");
   }
 
   /// Schedules an external-view event at absolute date `at`. The

@@ -37,6 +37,18 @@ void clear_stat_delta(KernelStats& stats) {
   stats.domains = std::move(domains);
 }
 
+/// Hands out the batch collected in `pending` for the caller to walk and
+/// leaves `pending` empty, holding the spare's memory: the two vectors
+/// trade places on every call, so draining a batch never frees capacity
+/// (see reserve_scheduler_arena). `spare` is cleared first, so a walk cut
+/// short by an exception leaves nothing behind for the next batch.
+template <typename T>
+std::vector<T>& take_batch(std::vector<T>& pending, std::vector<T>& spare) {
+  spare.clear();
+  spare.swap(pending);
+  return spare;
+}
+
 /// "No date" sentinel for the lookahead bound arithmetic (compares larger
 /// than every real date).
 constexpr std::uint64_t kNoDatePs = std::uint64_t(0) - 1;
@@ -129,11 +141,6 @@ Kernel::ExecContext* Kernel::thread_exec() {
 
 Kernel::GroupTask* Kernel::thread_task() {
   return t_task_;
-}
-
-Process* Kernel::current_process() const {
-  ExecContext* e = thread_exec();
-  return (e != nullptr && e->kernel == this) ? e->current_process : nullptr;
 }
 
 Kernel::GroupTask* Kernel::active_task() const {
@@ -788,6 +795,12 @@ void Kernel::trigger_event(Event& e) {
     bump_wake_generation(*p);  // invalidate a pending timeout, if any
     make_runnable(p);
   }
+  if (e.dynamic_waiters_.empty()) {
+    // Nobody re-waited: hand the event its vector back, capacity and all,
+    // so the next wait on it does not allocate.
+    waiters.clear();
+    e.dynamic_waiters_ = std::move(waiters);
+  }
 }
 
 void Kernel::queue_delta_notification(Event& e) {
@@ -997,19 +1010,16 @@ void Kernel::reserve_scheduler_arena() {
 void Kernel::run_update_phase() {
   // Updates may request further updates (rare); process until drained.
   while (!update_requests_.empty()) {
-    std::vector<UpdateListener*> batch = std::move(update_requests_);
-    update_requests_.clear();
-    for (UpdateListener* listener : batch) {
+    for (UpdateListener* listener :
+         take_batch(update_requests_, update_requests_spare_)) {
       listener->update();
     }
   }
 }
 
 void Kernel::fire_delta_notifications() {
-  std::vector<std::pair<Event*, std::uint64_t>> batch =
-      std::move(delta_notifications_);
-  delta_notifications_.clear();
-  for (auto& [event, generation] : batch) {
+  for (auto& [event, generation] :
+       take_batch(delta_notifications_, delta_notifications_spare_)) {
     if (event->pending_ == Event::Pending::Delta &&
         event->generation_ == generation) {
       event->pending_ = Event::Pending::None;
@@ -1209,11 +1219,12 @@ void Kernel::run_parallel_evaluation_phase() {
       }
     }
     for (GroupTask* task : active) {
-      std::vector<Process*> wakes = std::move(task->cross_wakes);
-      task->cross_wakes.clear();
-      for (Process* p : wakes) {
+      // apply_cross_wake never records a cross wake, so the list is
+      // walked in place and keeps its capacity.
+      for (Process* p : task->cross_wakes) {
         apply_cross_wake(p);
       }
+      task->cross_wakes.clear();
     }
     if (first_exception != nullptr || stop_requested_) {
       break;
@@ -1680,9 +1691,8 @@ void Kernel::run_local_cascade(GroupTask& task) {
       }
     }
     while (!task.update_requests.empty()) {
-      std::vector<UpdateListener*> batch = std::move(task.update_requests);
-      task.update_requests.clear();
-      for (UpdateListener* listener : batch) {
+      for (UpdateListener* listener :
+           take_batch(task.update_requests, task.update_requests_spare)) {
         listener->update();
       }
     }
@@ -1709,15 +1719,13 @@ void Kernel::run_local_cascade(GroupTask& task) {
                : std::string()) +
           "; livelocked model?");
     }
-    for (Process* p : std::exchange(task.delta_resume, {})) {
+    for (Process* p : take_batch(task.delta_resume, task.delta_resume_spare)) {
       if (p->state_ != ProcessState::Terminated) {
         make_runnable(p);
       }
     }
-    std::vector<std::pair<Event*, std::uint64_t>> batch =
-        std::move(task.delta_notifications);
-    task.delta_notifications.clear();
-    for (auto& [event, generation] : batch) {
+    for (auto& [event, generation] : take_batch(
+             task.delta_notifications, task.delta_notifications_spare)) {
       if (event->pending_ == Event::Pending::Delta &&
           event->generation_ == generation) {
         event->pending_ = Event::Pending::None;
@@ -1916,7 +1924,7 @@ void Kernel::run(const RunOptions& options) {
                    : std::string()) +
               "; livelocked model?");
         }
-        for (Process* p : std::exchange(delta_resume_, {})) {
+        for (Process* p : take_batch(delta_resume_, delta_resume_spare_)) {
           if (p->state_ != ProcessState::Terminated) {
             make_runnable(p);
           }

@@ -462,10 +462,16 @@ class Kernel {
   static Kernel* current();
 
   /// The simulation process currently executing on this OS thread within
-  /// this kernel, or null (e.g. during elaboration or from the scheduler
-  /// itself). Per OS thread: in parallel mode each worker sees its own
-  /// group's process. Deliberately out of line -- see thread_exec().
-  Process* current_process() const;
+  /// this kernel, or null (e.g. during elaboration, from the scheduler
+  /// itself, or from a process of another kernel). Per OS thread: in
+  /// parallel mode each worker sees its own group's process. Inline, so a
+  /// channel access pays no call for it, but the thread-local read itself
+  /// stays behind the noinline thread_exec(): a fiber may resume on another
+  /// worker, and only a fresh read finds that worker's slot.
+  Process* current_process() const {
+    ExecContext* e = thread_exec();
+    return (e != nullptr && e->kernel == this) ? e->current_process : nullptr;
+  }
 
   // --- process-facing API (called from inside processes) ---
 
@@ -566,6 +572,11 @@ class Kernel {
     std::vector<std::pair<Event*, std::uint64_t>> delta_notifications;
     std::vector<Process*> delta_resume;
     std::vector<UpdateListener*> update_requests;
+    /// The free-running cascade drains the three buffers above through
+    /// these retained spares, so a drained batch keeps its memory.
+    std::vector<std::pair<Event*, std::uint64_t>> delta_notifications_spare;
+    std::vector<Process*> delta_resume_spare;
+    std::vector<UpdateListener*> update_requests_spare;
     struct TimedReq {
       Time when;
       TimedEntry::Kind kind;
@@ -846,6 +857,13 @@ class Kernel {
   std::vector<std::pair<Event*, std::uint64_t>> delta_notifications_;
   std::vector<Process*> delta_resume_;
   std::vector<UpdateListener*> update_requests_;
+  /// Each cascade step drains one of the three buffers above by swapping
+  /// it with its retained spare, so neither ever frees its capacity and
+  /// the arena reserve_scheduler_arena() pre-sized survives the first
+  /// delta cycle. The spares grow once, on first use.
+  std::vector<std::pair<Event*, std::uint64_t>> delta_notifications_spare_;
+  std::vector<Process*> delta_resume_spare_;
+  std::vector<UpdateListener*> update_requests_spare_;
   /// The timed notification queue: a (when, seq) min-heap maintained with
   /// std::push_heap/pop_heap over a plain vector, so the stale-entry
   /// compaction and the ~Event purge can filter the storage in place and
@@ -858,7 +876,11 @@ class Kernel {
   /// go through these noinline accessors. Were the reads inlined, the
   /// compiler could legally cache the TLS slot's address across a
   /// tdsim_fiber_switch call -- and a fiber resumed on a different worker
-  /// would then read (and race on) the *original* thread's slot.
+  /// would then read (and race on) the *original* thread's slot. The
+  /// inline fast path (current_process(), sync_context(), the clock and
+  /// domain helpers at the end of this file) calls them afresh on every
+  /// access and never keeps the returned ExecContext* or GroupTask* across
+  /// a call that can suspend.
   __attribute__((noinline)) static ExecContext* thread_exec();
   __attribute__((noinline)) static GroupTask* thread_task();
 
@@ -1012,5 +1034,55 @@ void wait_delta();
 void next_trigger(Event& event);
 void next_trigger(Time delay);
 Time sim_time_stamp();
+
+// --------------------------------------------------------------------------
+// The temporal-decoupling fast path, inline. Defined here because each one
+// needs the complete Kernel. An annotation or a non-blocking Smart FIFO
+// access then costs one thread-local read (Kernel::thread_exec) plus
+// register arithmetic; synchronizations and error reports stay out of line.
+// --------------------------------------------------------------------------
+
+inline Time LocalClock::now() const { return kernel_.now() + offset_; }
+
+inline void LocalClock::advance_to(Time date) {
+  const Time global = kernel_.now();
+  if (date > global + offset_) {
+    offset_ = date - global;
+  }
+}
+
+inline LocalClock& SyncDomain::current_clock() const {
+  Process* p = kernel_.current_process();
+  if (p == nullptr) [[unlikely]] {
+    outside_process_error();
+  }
+  return p->clock();
+}
+
+inline void SyncDomain::inc(Time duration) { current_clock().inc(duration); }
+
+inline void SyncDomain::require_member(const Process& process) const {
+  if (&process.domain() != this) [[unlikely]] {
+    membership_error(process);
+  }
+}
+
+inline void SyncDomain::inc_and_sync_if_needed(Time duration,
+                                               SyncCause cause) {
+  // One thread-local read resolves the process, its clock and the counter
+  // sink for the whole operation.
+  const SyncContext ctx = kernel_.sync_context();
+  if (ctx.process == nullptr) [[unlikely]] {
+    outside_process_error();
+  }
+  // Membership before the clock moves: a misrouted call fails without
+  // side effects.
+  require_member(*ctx.process);
+  LocalClock& clock = ctx.process->clock();
+  clock.inc(duration);
+  if (quantum_exceeded(clock)) {
+    perform_sync_in(ctx, clock, cause);
+  }
+}
 
 }  // namespace tdsim

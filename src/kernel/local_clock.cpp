@@ -6,17 +6,6 @@
 
 namespace tdsim {
 
-Time LocalClock::now() const {
-  return owner_.kernel().now() + offset_;
-}
-
-void LocalClock::advance_to(Time date) {
-  const Time local = now();
-  if (date > local) {
-    offset_ = date - owner_.kernel().now();
-  }
-}
-
 bool LocalClock::needs_sync() const {
   return owner_.domain().quantum_exceeded(*this);
 }

@@ -11,6 +11,10 @@
 // Quantum policy and synchronization bookkeeping live one level up, in the
 // kernel-owned SyncDomain; the clock delegates to it so every sync is
 // attributed to a cause in KernelStats.
+//
+// now() and advance_to() are inline: they read the kernel's date through
+// the reference the clock holds, without a call. They need the complete
+// Kernel, so they are defined at the end of kernel/kernel.h.
 #pragma once
 
 #include "kernel/stats.h"
@@ -24,7 +28,7 @@ class SyncDomain;
 
 class LocalClock {
  public:
-  explicit LocalClock(Process& owner) : owner_(owner) {}
+  LocalClock(Process& owner, Kernel& kernel) : owner_(owner), kernel_(kernel) {}
   LocalClock(const LocalClock&) = delete;
   LocalClock& operator=(const LocalClock&) = delete;
 
@@ -35,7 +39,7 @@ class LocalClock {
 
   /// The local date: kernel.now() + offset(). The paper's
   /// local_time_stamp() for this process.
-  Time now() const;
+  inline Time now() const;
 
   /// Advances the local date by `duration` without a context switch. This
   /// is the timing-annotation primitive.
@@ -44,7 +48,7 @@ class LocalClock {
   /// Raises the local date to `date` if it is in the future; no-op
   /// otherwise. Used by the Smart FIFO to apply cell time stamps
   /// ("increase the local time up to this date").
-  void advance_to(Time date);
+  inline void advance_to(Time date);
 
   /// True when the local date equals the global date.
   bool is_synchronized() const { return offset_.is_zero(); }
@@ -78,6 +82,8 @@ class LocalClock {
   void set_offset(Time offset) { offset_ = offset; }
 
   Process& owner_;
+  /// The owner's kernel, held so the date reads skip the owner hop.
+  Kernel& kernel_;
   Time offset_{};
 };
 

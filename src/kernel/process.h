@@ -128,7 +128,7 @@ class Process {
   SyncDomain* domain_ = nullptr;
 
   /// See clock().
-  LocalClock clock_{*this};
+  LocalClock clock_{*this, kernel_};
 
   /// Event this process is dynamically waiting on (thread wait(event) or
   /// method next_trigger(event)), for removal on cancellation/timeout.

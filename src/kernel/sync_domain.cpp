@@ -30,15 +30,6 @@ std::vector<QuantumDecision> SyncDomain::decision_trace() const {
   return kernel_.decision_trace(*this);
 }
 
-bool SyncDomain::quantum_exceeded(const LocalClock& clock) const {
-  if (quantum_.is_zero()) {
-    // A zero quantum means "synchronize at every annotation", matching the
-    // paper's remark that decoupling can be disabled by setting it to zero.
-    return true;
-  }
-  return clock.offset() >= quantum_;
-}
-
 std::optional<Time> SyncDomain::execution_front() const {
   if (kernel_.foreign_group_read(*this)) {
     // Mid-round probe of another group's domain: its processes' clocks
@@ -78,14 +69,6 @@ Time SyncDomain::max_offset() const {
   return max;
 }
 
-LocalClock& SyncDomain::current_clock() const {
-  Process* p = kernel_.current_process();
-  if (p == nullptr) {
-    Report::error("temporal decoupling used outside of a simulation process");
-  }
-  return p->clock();
-}
-
 Time SyncDomain::local_time_stamp() const {
   Process* p = kernel_.current_process();
   // From the scheduler context (e.g. callbacks), the local date degenerates
@@ -97,10 +80,6 @@ Time SyncDomain::local_offset() const {
   return current_clock().offset();
 }
 
-void SyncDomain::inc(Time duration) {
-  current_clock().inc(duration);
-}
-
 void SyncDomain::advance_local_to(Time date) {
   current_clock().advance_to(date);
 }
@@ -108,7 +87,7 @@ void SyncDomain::advance_local_to(Time date) {
 void SyncDomain::sync(SyncCause cause) {
   const SyncContext ctx = kernel_.sync_context();
   if (ctx.process == nullptr) {
-    Report::error("temporal decoupling used outside of a simulation process");
+    outside_process_error();
   }
   perform_sync_in(ctx, ctx.process->clock(), cause);
 }
@@ -116,27 +95,10 @@ void SyncDomain::sync(SyncCause cause) {
 void SyncDomain::sync_unbooked() {
   const SyncContext ctx = kernel_.sync_context();
   if (ctx.process == nullptr) {
-    Report::error("temporal decoupling used outside of a simulation process");
+    outside_process_error();
   }
   perform_sync_in(ctx, ctx.process->clock(), SyncCause::Explicit,
                   /*book=*/false);
-}
-
-void SyncDomain::inc_and_sync_if_needed(Time duration, SyncCause cause) {
-  // The loosely-timed hot path: one thread-local read resolves the
-  // process, its clock and the counter sink for the whole operation.
-  const SyncContext ctx = kernel_.sync_context();
-  if (ctx.process == nullptr) {
-    Report::error("temporal decoupling used outside of a simulation process");
-  }
-  // Check membership before mutating the clock, so a misrouted call fails
-  // without side effects.
-  require_member(*ctx.process);
-  LocalClock& clock = ctx.process->clock();
-  clock.inc(duration);
-  if (quantum_exceeded(clock)) {
-    perform_sync_in(ctx, clock, cause);
-  }
 }
 
 bool SyncDomain::is_synchronized() const {
@@ -178,13 +140,15 @@ std::uint64_t SyncDomain::syncs_elided() const {
   return stats().syncs_elided;
 }
 
-void SyncDomain::require_member(const Process& process) const {
-  if (&process.domain() != this) {
-    Report::error("process '" + process.name() + "' belongs to domain '" +
-                  process.domain().name() + "' but synchronized through "
-                  "domain '" + name_ +
-                  "'; resolve the domain with Kernel::current_domain()");
-  }
+void SyncDomain::outside_process_error() {
+  Report::error("temporal decoupling used outside of a simulation process");
+}
+
+void SyncDomain::membership_error(const Process& process) const {
+  Report::error("process '" + process.name() + "' belongs to domain '" +
+                process.domain().name() + "' but synchronized through "
+                "domain '" + name_ +
+                "'; resolve the domain with Kernel::current_domain()");
 }
 
 void SyncDomain::perform_sync(LocalClock& clock, SyncCause cause) {

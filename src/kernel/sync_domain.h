@@ -23,6 +23,12 @@
 // inside that kernel. Channel code should resolve the executing process's
 // own domain through Kernel::current_domain() (or the ambient
 // current_sync_domain()) rather than hard-wiring the default domain.
+//
+// Cost model: inc(), the non-syncing path of inc_and_sync_if_needed() and
+// the quantum test are inline (defined at the end of kernel/kernel.h, which
+// they need complete). An annotation costs one thread-local read through
+// Kernel::thread_exec() plus register arithmetic; the synchronization
+// itself and every error report stay out of line.
 #pragma once
 
 #include <cstddef>
@@ -31,6 +37,7 @@
 #include <vector>
 
 #include "kernel/cacheline.h"
+#include "kernel/local_clock.h"
 #include "kernel/stats.h"
 #include "kernel/time.h"
 
@@ -90,8 +97,12 @@ class SyncDomain {
   std::vector<QuantumDecision> decision_trace() const;
 
   /// Policy decision for a clock in this domain: true when the quantum is
-  /// zero or the clock's offset has reached it.
-  bool quantum_exceeded(const LocalClock& clock) const;
+  /// zero or the clock's offset has reached it. A zero quantum means
+  /// "synchronize at every annotation", matching the paper's remark that
+  /// decoupling can be disabled by setting it to zero.
+  bool quantum_exceeded(const LocalClock& clock) const {
+    return quantum_.is_zero() || clock.offset() >= quantum_;
+  }
 
   /// Per-domain delta-cycle livelock limit: when non-zero, the scheduler
   /// raises a SimulationError once processes of this domain stay runnable
@@ -148,7 +159,7 @@ class SyncDomain {
   // Kernel::current_domain() when in doubt.
 
   /// The clock of the currently executing process.
-  LocalClock& current_clock() const;
+  inline LocalClock& current_clock() const;
 
   /// Local date of the current process; from scheduler context (e.g.
   /// callbacks) it degenerates to the global date.
@@ -158,7 +169,7 @@ class SyncDomain {
   Time local_offset() const;
 
   /// inc() on the current process's clock.
-  void inc(Time duration);
+  inline void inc(Time duration);
 
   /// advance_to() on the current process's clock.
   void advance_local_to(Time date);
@@ -175,9 +186,10 @@ class SyncDomain {
   void sync_unbooked();
 
   /// The canonical loosely-timed pattern: inc, then sync only when the
-  /// quantum is exhausted.
-  void inc_and_sync_if_needed(Time duration,
-                              SyncCause cause = SyncCause::Quantum);
+  /// quantum is exhausted. Checks membership before the clock moves, so a
+  /// call through a foreign domain fails without side effects.
+  inline void inc_and_sync_if_needed(Time duration,
+                                     SyncCause cause = SyncCause::Quantum);
 
   bool is_synchronized() const;
   bool needs_sync() const;
@@ -225,7 +237,12 @@ class SyncDomain {
 
   /// Errors unless `process` (the owner of a clock being synchronized
   /// through this domain) is a member of this domain.
-  void require_member(const Process& process) const;
+  inline void require_member(const Process& process) const;
+
+  // Cold error reports of the inline fast path.
+  [[noreturn, gnu::cold, gnu::noinline]] static void outside_process_error();
+  [[noreturn, gnu::cold, gnu::noinline]] void membership_error(
+      const Process& process) const;
 
   Kernel& kernel_;
   std::string name_;

@@ -2,19 +2,23 @@
 // unwind a fiber's frames and surface from run() with the process named;
 // the MXCSR and x87 control word travel with each fiber; a fresh fiber's
 // first frame is 16-byte aligned; fibers resume correctly on a different
-// worker than the one they suspended on; and short-lived fibers hand every
-// pooled stack back.
+// worker than the one they suspended on, and still resolve themselves
+// through the inline fast path (current process and domain, clock
+// annotations, Smart FIFO accesses) there; and short-lived fibers hand
+// every pooled stack back.
 #include <gtest/gtest.h>
 #include <xmmintrin.h>
 
 #include <cfenv>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/smart_fifo.h"
 #include "kernel/kernel.h"
 #include "kernel/stack_pool.h"
 #include "kernel/sync_domain.h"
@@ -176,6 +180,9 @@ struct MigrationResult {
   /// Resumptions that happened on a different OS thread than the
   /// suspension that preceded them.
   std::uint64_t migrations = 0;
+  /// Resumptions after which the kernel named another process or domain
+  /// as the caller's, or a private FIFO handed back the wrong word.
+  std::uint64_t misresolved = 0;
 };
 
 MigrationResult run_migration(std::size_t workers) {
@@ -188,6 +195,14 @@ MigrationResult run_migration(std::size_t workers) {
   result.checksums.resize(kFibers);
   result.end_dates.resize(kFibers);
   std::vector<std::uint64_t> migrations(kFibers);
+  std::vector<std::uint64_t> misresolved(kFibers);
+  // One private FIFO per migrant: only its own domain touches it, so it
+  // links no groups.
+  std::vector<std::unique_ptr<SmartFifo<std::uint64_t>>> fifos;
+  for (int f = 0; f < kFibers; ++f) {
+    fifos.push_back(std::make_unique<SmartFifo<std::uint64_t>>(
+        k, "private" + std::to_string(f), 2));
+  }
   for (int f = 0; f < kFibers; ++f) {
     // Unlinked concurrent domains: every fiber is its own group, so with
     // workers the groups spread over the pool round by round.
@@ -203,11 +218,25 @@ MigrationResult run_migration(std::size_t workers) {
       std::uint64_t b = f + 3;
       std::uint64_t c = 1;
       double d = 0.5 * f;
+      const Process* self = k.current_process();
+      SmartFifo<std::uint64_t>& fifo = *fifos[f];
       for (int i = 0; i < kSteps; ++i) {
         const std::thread::id before = current_thread();
         k.wait(Time::from_ps(1000 + ((i * 7 + f) % 3) * 1000));
         if (current_thread() != before) {
           migrations[f]++;
+        }
+        // The same body, after the resume, runs every inline thread-local
+        // resolution: a TLS address cached across the switch would name
+        // the original worker's process here.
+        if (k.current_process() != self || &k.current_domain() != &domain) {
+          misresolved[f]++;
+        }
+        domain.inc(Time::from_ps(100));
+        domain.inc_and_sync_if_needed(Time::from_ps(100));
+        fifo.write(a);
+        if (fifo.read() != a) {
+          misresolved[f]++;
         }
         a = a * 6364136223846793005ull + b;
         b ^= a >> 17;
@@ -223,12 +252,16 @@ MigrationResult run_migration(std::size_t workers) {
   for (std::uint64_t m : migrations) {
     result.migrations += m;
   }
+  for (std::uint64_t m : misresolved) {
+    result.misresolved += m;
+  }
   return result;
 }
 
 TEST(Fiber, ResumesCorrectlyOnAnotherWorker) {
   const MigrationResult reference = run_migration(0);
   EXPECT_EQ(reference.migrations, 0u);
+  EXPECT_EQ(reference.misresolved, 0u);
   // The driving thread works off group tasks alongside the pool worker,
   // so some resumptions (hundreds of the 16000 on a 4-core x86-64 host)
   // land on the other thread. Which ones is up to the OS scheduler: on a
@@ -240,6 +273,7 @@ TEST(Fiber, ResumesCorrectlyOnAnotherWorker) {
     EXPECT_EQ(parallel.checksums, reference.checksums);
     EXPECT_EQ(parallel.end_dates, reference.end_dates);
     EXPECT_EQ(parallel.context_switches, reference.context_switches);
+    EXPECT_EQ(parallel.misresolved, 0u);
     migrations = parallel.migrations;
   }
   EXPECT_GT(migrations, 0u);

@@ -175,6 +175,7 @@ TEST(LocalTime, CurrentProcessOpsOutsideProcessAreErrors) {
   // The current-process conveniences need a running process of this kernel.
   Kernel k;
   EXPECT_THROW(k.sync_domain().inc(1_ns), SimulationError);
+  EXPECT_THROW(k.sync_domain().inc_and_sync_if_needed(1_ns), SimulationError);
   EXPECT_THROW(k.sync_domain().sync(), SimulationError);
   EXPECT_THROW(k.sync_domain().local_offset(), SimulationError);
   // The ambient accessor additionally needs a running kernel at all.

@@ -262,6 +262,31 @@ TEST(MultiDomain, SyncThroughForeignDomainIsError) {
   EXPECT_THROW(k.run(), SimulationError);
 }
 
+TEST(MultiDomain, IncAndSyncThroughForeignDomainFailsWithoutSideEffects) {
+  // Membership is checked before the clock moves, so the misrouted call
+  // leaves the caller's offset (and the foreign domain's books) as they
+  // were.
+  Kernel k;
+  SyncDomain& cpu = k.create_domain(DomainOptions{.name = "cpu"});
+  ThreadOptions opts;
+  opts.domain = &cpu;
+  bool threw = false;
+  Time offset_after;
+  k.spawn_thread("t", [&] {
+    cpu.inc(3_ns);
+    try {
+      k.sync_domain().inc_and_sync_if_needed(5_ns);  // foreign domain
+    } catch (const SimulationError&) {
+      threw = true;
+    }
+    offset_after = cpu.local_offset();
+  }, opts);
+  k.run();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(offset_after, 3_ns);
+  EXPECT_EQ(k.sync_domain().stats().sync_requests, 0u);
+}
+
 TEST(MultiDomain, PerDomainDeltaLivelockLimit) {
   // Two methods of one domain re-triggering each other forever at one date
   // trip that domain's own limit -- with the kernel-wide limit disabled --

@@ -213,6 +213,46 @@ TEST(SmartFifo, DecreasingWriteDatesAreAnError) {
   EXPECT_THROW(k.run(), SimulationError);
 }
 
+TEST(SmartFifo, DecreasingReadDatesAreAnError) {
+  // The reader side is checked like the writer side: a second reader whose
+  // local date lies before the first one's last read needs an arbiter.
+  Kernel k;
+  SmartFifo<int> f(k, "f", 4);
+  k.spawn_thread("wr", [&] {
+    f.write(1);
+    f.write(2);
+  });
+  k.spawn_thread("r1", [&] {
+    k.sync_domain().inc(100_ns);
+    (void)f.read();
+  });
+  k.spawn_thread("r2", [&] {
+    k.sync_domain().inc(10_ns);
+    (void)f.read();
+  });
+  EXPECT_THROW(k.run(), SimulationError);
+}
+
+TEST(SmartFifo, DataPathOutsideAProcessOfItsKernelIsAnError) {
+  // There is no local date to stamp from elaboration, nor from a process
+  // that belongs to another kernel.
+  Kernel k;
+  SmartFifo<int> f(k, "f", 4);
+  EXPECT_THROW(f.write(1), SimulationError);
+  EXPECT_THROW((void)f.read(), SimulationError);
+  EXPECT_EQ(f.total_writes(), 0u);
+
+  Kernel other_writer;
+  other_writer.spawn_thread("foreign_wr", [&] { f.write(1); });
+  EXPECT_THROW(other_writer.run(), SimulationError);
+  EXPECT_EQ(f.total_writes(), 0u);
+
+  Kernel other_reader;
+  other_reader.spawn_thread("foreign_rd", [&] { (void)f.read(); });
+  EXPECT_THROW(other_reader.run(), SimulationError);
+  EXPECT_EQ(f.total_reads(), 0u);
+}
+
 TEST(SmartFifo, SideOrderCheckCanBeDisabled) {
   Kernel k;
   SmartFifo<int> f(k, "f", 4);
