@@ -49,6 +49,13 @@ std::vector<T>& take_batch(std::vector<T>& pending, std::vector<T>& spare) {
   return spare;
 }
 
+/// Appends `from` to `to` and empties `from` (which keeps its capacity).
+template <typename Container>
+void drain_into(Container& to, Container& from) {
+  to.insert(to.end(), from.begin(), from.end());
+  from.clear();
+}
+
 /// "No date" sentinel for the lookahead bound arithmetic (compares larger
 /// than every real date).
 constexpr std::uint64_t kNoDatePs = std::uint64_t(0) - 1;
@@ -88,6 +95,7 @@ Kernel::Kernel(const KernelConfig& config) {
   published_front_ps_.emplace_back(std::uint64_t{0} - 1);
   main_exec_.kernel = this;
   main_exec_.stats = &stats_;
+  main_exec_.cascade = &cascade_;
   // The one resolution point for every execution knob: explicit config >
   // environment > built-in default (see kernel_config.h; CI forces the
   // whole suite parallel through TDSIM_WORKERS this way). After this,
@@ -154,6 +162,11 @@ KernelStats& Kernel::active_stats() {
   // and "where do counters go".
   ExecContext* e = thread_exec();
   return (e != nullptr && e->kernel == this) ? *e->stats : stats_;
+}
+
+Kernel::Cascade& Kernel::active_cascade() {
+  ExecContext* e = thread_exec();
+  return (e != nullptr && e->kernel == this) ? *e->cascade : cascade_;
 }
 
 void Kernel::note_timed_event_stale() {
@@ -255,35 +268,23 @@ void Kernel::unregister_chunk_flush(ChunkFlushListener* listener) {
                            std::memory_order_relaxed);
 }
 
-bool Kernel::flush_chunked_channels() {
-  // Main-loop horizon flush: the workers are quiescent, but a listener's
-  // registration may have raced in from the last round -- take the lock
-  // (uncontended here) rather than reason about it.
+void Kernel::flush_chunked_channels(const GroupTask* task) {
+  // The lock guards the *list* against concurrent register/unregister from
+  // processes of other groups (a free-running extension), or one that
+  // raced in from the last round (the kernel loop, uncontended then). A
+  // group flushes only its own channels -- both sides of a channel always
+  // share one group, so the flush is serialized with every user of the
+  // channel -- and a foreign listener added mid-walk fails the group check.
   std::lock_guard<std::mutex> lock(chunk_flush_mutex_);
-  bool any = false;
   for (ChunkFlushListener* listener : chunk_flush_listeners_) {
-    any = listener->flush_chunks() || any;
-  }
-  return any;
-}
-
-bool Kernel::flush_group_chunks(GroupTask& task) {
-  // Local-wave flush inside a free-running extension: only this group's
-  // channels (both sides of a channel always share one group, so the
-  // flush is serialized with every user of the channel). The lock guards
-  // the *list* against concurrent register/unregister from other groups'
-  // processes; a foreign listener added mid-walk belongs to a foreign
-  // group and is skipped by the group check either way.
-  std::lock_guard<std::mutex> lock(chunk_flush_mutex_);
-  bool any = false;
-  for (ChunkFlushListener* listener : chunk_flush_listeners_) {
-    SyncDomain* home = listener->chunk_home_domain();
-    if (home == nullptr || find_group(home->id()) != task.group) {
-      continue;
+    if (task != nullptr) {
+      SyncDomain* home = listener->chunk_home_domain();
+      if (home == nullptr || find_group(home->id()) != task->group) {
+        continue;
+      }
     }
-    any = listener->flush_chunks() || any;
+    listener->flush_chunks();
   }
-  return any;
 }
 
 namespace {
@@ -756,16 +757,19 @@ void Kernel::make_runnable(Process* p) {
     task->cross_wakes.push_back(p);
     return;
   }
+  enqueue_runnable(p, task != nullptr ? task->cascade : cascade_);
+}
+
+void Kernel::enqueue_runnable(Process* p, Cascade& cascade) {
+  if (p->in_runnable_ || p->state_ == ProcessState::Terminated) {
+    return;
+  }
   p->in_runnable_ = true;
   p->domain_->runnable_count_++;
   if (p->state_ == ProcessState::Waiting) {
     p->state_ = ProcessState::Ready;
   }
-  if (task != nullptr) {
-    task->queue.push_back(p);
-  } else {
-    runnable_.push_back(p);
-  }
+  cascade.runnable.push_back(p);
 }
 
 void Kernel::bump_wake_generation(Process& p) {
@@ -804,11 +808,7 @@ void Kernel::trigger_event(Event& e) {
 }
 
 void Kernel::queue_delta_notification(Event& e) {
-  if (GroupTask* task = active_task()) {
-    task->delta_notifications.emplace_back(&e, e.generation_);
-  } else {
-    delta_notifications_.emplace_back(&e, e.generation_);
-  }
+  active_cascade().delta_notifications.emplace_back(&e, e.generation_);
 }
 
 void Kernel::timed_push(const TimedEntry& entry) {
@@ -830,18 +830,30 @@ void Kernel::timed_reheap() {
 
 void Kernel::schedule_event_fire(Event& e, Time at) {
   e.queued_timed_entries_++;
+  schedule_timed(at, TimedEntry::Kind::EventFire, &e, e.generation_, nullptr,
+                 0);
+}
+
+void Kernel::schedule_process_resume(Process& p, Time at) {
+  p.has_live_resume_entry_ = true;
+  schedule_timed(at, TimedEntry::Kind::ProcessResume, nullptr, 0, &p,
+                 p.wake_generation_);
+}
+
+void Kernel::schedule_timed(Time when, TimedEntry::Kind kind, Event* event,
+                            std::uint64_t event_generation, Process* process,
+                            std::uint64_t process_generation) {
+  // Each path builds its entry in place, after the task lookup: a shared
+  // local would be address-taken by timed_push, forcing it onto the stack
+  // ahead of the call and the buffer copy through a store-forwarding stall
+  // -- on every wait inside a group task.
   if (GroupTask* task = active_task()) {
-    task->timed.push_back({at, TimedEntry::Kind::EventFire, &e,
-                           e.generation_, nullptr, 0});
+    task->timed.push_back({when, 0, kind, event, event_generation, process,
+                           process_generation});
     return;
   }
-  TimedEntry entry;
-  entry.when = at;
-  entry.seq = next_timed_seq_++;
-  entry.kind = TimedEntry::Kind::EventFire;
-  entry.event = &e;
-  entry.event_generation = e.generation_;
-  timed_push(entry);
+  timed_push({when, next_timed_seq_++, kind, event, event_generation, process,
+              process_generation});
   maybe_compact_timed_queue();
 }
 
@@ -849,43 +861,34 @@ void Kernel::purge_timed_event_entries(Event& e) {
   if (e.queued_timed_entries_ == 0) {
     return;
   }
+  // Drops the entries of `entries` from `from` on that refer to `e`, in
+  // place (no allocation). Superseded entries were counted stale in
+  // `stale_count`; the live one was not.
+  const auto drop = [&](std::vector<TimedEntry>& entries, std::size_t from,
+                        std::size_t& stale_count) {
+    const auto keep_end = std::remove_if(
+        entries.begin() + static_cast<std::ptrdiff_t>(from), entries.end(),
+        [&](const TimedEntry& entry) {
+          if (entry.kind != TimedEntry::Kind::EventFire || entry.event != &e) {
+            return false;
+          }
+          if (is_stale(entry) && stale_count > 0) {
+            stale_count--;
+          }
+          e.queued_timed_entries_--;
+          return true;
+        });
+    entries.erase(keep_end, entries.end());
+  };
   if (GroupTask* task = active_task()) {
-    // Entries buffered this round live in the group's own TimedReq list
+    // Entries buffered this round live in the group's own timed buffer
     // (the event is group-private, so they cannot be in another group's).
-    auto& reqs = task->timed;
-    for (auto it = reqs.begin(); it != reqs.end();) {
-      if (it->kind == TimedEntry::Kind::EventFire && it->event == &e) {
-        const bool stale = e.pending_ != Event::Pending::Timed ||
-                           e.generation_ != it->event_generation;
-        if (stale && task->stale_notes > 0) {
-          task->stale_notes--;
-        }
-        e.queued_timed_entries_--;
-        it = reqs.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    drop(task->timed, 0, task->stale_notes);
     if (task->free_running) {
       // Extracted (or absorbed) entries living in the extension's private
       // agenda also count as queued; drop the unexecuted ones now so the
       // wave loop never dereferences the destroyed event.
-      auto& agenda = task->agenda;
-      for (std::size_t i = task->agenda_pos; i < agenda.size();) {
-        if (agenda[i].kind == TimedEntry::Kind::EventFire &&
-            agenda[i].event == &e) {
-          const bool stale = e.pending_ != Event::Pending::Timed ||
-                             e.generation_ != agenda[i].event_generation;
-          if (stale && task->stale_notes > 0) {
-            task->stale_notes--;
-          }
-          e.queued_timed_entries_--;
-          agenda.erase(agenda.begin() +
-                       static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
+      drop(task->agenda, task->agenda_pos, task->stale_notes);
     }
     if (e.queued_timed_entries_ == 0) {
       return;
@@ -895,40 +898,11 @@ void Kernel::purge_timed_event_entries(Event& e) {
   // concurrently serialize here; the main thread never touches the queue
   // while a round is in flight. (An entry made stale earlier this round
   // has its stale note still buffered, so the count can drift by the rare
-  // destroy-during-round case -- compaction stays safe either way.) The
-  // filter runs in place on the heap storage: no allocation.
+  // destroy-during-round case -- compaction stays safe either way.)
   std::lock_guard<std::mutex> lock(timed_purge_mutex_);
-  const auto keep_end = std::remove_if(
-      timed_queue_.begin(), timed_queue_.end(), [&](const TimedEntry& entry) {
-        if (entry.kind != TimedEntry::Kind::EventFire || entry.event != &e) {
-          return false;
-        }
-        // Superseded entries were counted stale; the live one was not.
-        if (is_stale(entry) && timed_stale_count_ > 0) {
-          timed_stale_count_--;
-        }
-        return true;
-      });
-  timed_queue_.erase(keep_end, timed_queue_.end());
+  drop(timed_queue_, 0, timed_stale_count_);
   timed_reheap();
   e.queued_timed_entries_ = 0;
-}
-
-void Kernel::schedule_process_resume(Process& p, Time at) {
-  p.has_live_resume_entry_ = true;
-  if (GroupTask* task = active_task()) {
-    task->timed.push_back({at, TimedEntry::Kind::ProcessResume, nullptr, 0,
-                           &p, p.wake_generation_});
-    return;
-  }
-  TimedEntry entry;
-  entry.when = at;
-  entry.seq = next_timed_seq_++;
-  entry.kind = TimedEntry::Kind::ProcessResume;
-  entry.process = &p;
-  entry.process_generation = p.wake_generation_;
-  timed_push(entry);
-  maybe_compact_timed_queue();
 }
 
 void Kernel::maybe_compact_timed_queue() {
@@ -994,36 +968,162 @@ void Kernel::reserve_scheduler_arena() {
   const auto reserved_bytes = [this] {
     return static_cast<std::uint64_t>(timed_queue_.capacity()) *
                sizeof(TimedEntry) +
-           static_cast<std::uint64_t>(delta_notifications_.capacity()) *
-               sizeof(delta_notifications_[0]) +
-           static_cast<std::uint64_t>(delta_resume_.capacity()) *
+           static_cast<std::uint64_t>(
+               cascade_.delta_notifications.capacity()) *
+               sizeof(cascade_.delta_notifications[0]) +
+           static_cast<std::uint64_t>(cascade_.delta_resume.capacity()) *
                sizeof(Process*);
   };
   const std::uint64_t before = reserved_bytes();
   timed_queue_.reserve(n);
-  delta_notifications_.reserve(n);
-  delta_resume_.reserve(n);
+  cascade_.delta_notifications.reserve(n);
+  cascade_.delta_resume.reserve(n);
   const std::uint64_t after = reserved_bytes();
   stats_.arena_reserved_bytes += after - before;
 }
 
-void Kernel::run_update_phase() {
-  // Updates may request further updates (rare); process until drained.
-  while (!update_requests_.empty()) {
-    for (UpdateListener* listener :
-         take_batch(update_requests_, update_requests_spare_)) {
-      listener->update();
+// --------------------------------------------------------------------------
+// The cascade: one evaluate loop, one delta step, one timed-entry firing
+//
+// run() drives the kernel's cascade through these, and a free-running
+// group wave (run_group) drives its task's cascade through the very same
+// functions; `task` tells them whose counters, channels and domains the
+// step may touch.
+// --------------------------------------------------------------------------
+
+void Kernel::evaluate(Cascade& cascade) {
+  while (!cascade.runnable.empty()) {
+    Process* p = cascade.runnable.front();
+    cascade.runnable.pop_front();
+    p->in_runnable_ = false;
+    p->domain_->runnable_count_--;
+    if (p->state_ == ProcessState::Terminated) {
+      continue;
+    }
+    dispatch(p);
+    if (cascade.stop) {
+      return;
     }
   }
 }
 
-void Kernel::fire_delta_notifications() {
-  for (auto& [event, generation] :
-       take_batch(delta_notifications_, delta_notifications_spare_)) {
+bool Kernel::delta_step(Cascade& cascade, GroupTask* task) {
+  // Update phase. Updates may request further updates (rare); process
+  // until drained.
+  while (!cascade.update_requests.empty()) {
+    for (UpdateListener* listener :
+         take_batch(cascade.update_requests, cascade.update_requests_spare)) {
+      listener->update();
+    }
+  }
+  // Chunked-channel flush, folded into every cascade iteration: a group's
+  // flush-induced notifications enter the iteration right after its chunks
+  // became pending -- a depth determined by the group's own delta chain, so
+  // a free-running group's cascade lines up with the sequential schedule
+  // index-for-index and the prepaid elementwise-max merge stays exact. It
+  // also maintains the chunked-mode invariant: nothing unpublished survives
+  // a drained cascade, so time never advances past a dirty chunk.
+  if (chunk_flush_count_.load(std::memory_order_relaxed) != 0) {
+    flush_chunked_channels(task);
+  }
+  // Delta-notification phase.
+  if (cascade.delta_notifications.empty() && cascade.delta_resume.empty()) {
+    return false;
+  }
+  // A free-running wave logs its iterations for the merge to pay; the
+  // kernel loop pays its own unless an extension already prepaid them
+  // (counting it again would break the bit-identity with the sequential
+  // schedule).
+  std::uint64_t wave_deltas = 0;
+  if (task != nullptr) {
+    wave_deltas = ++task->wave_log.back().second;
+  } else {
+    if (prepaid_skip_deltas_ > 0) {
+      prepaid_skip_deltas_--;
+    } else {
+      stats_.delta_cycles++;
+    }
+    if (delta_limit_ != 0) {
+      wave_deltas = ++deltas_at_current_date_;
+    }
+  }
+  if (delta_limit_ != 0 && wave_deltas > delta_limit_) {
+    const SyncDomain* lagging = lagging_domain();
+    raise_delta_livelock(
+        "delta-cycle limit (" + std::to_string(delta_limit_) +
+        ") exceeded at date " +
+        (task != nullptr ? task->local_now : now_).to_string() +
+        (lagging != nullptr ? " (lagging domain: '" + lagging->name() + "')"
+                            : std::string()) +
+        "; livelocked model?");
+  }
+  for (Process* p :
+       take_batch(cascade.delta_resume, cascade.delta_resume_spare)) {
+    if (p->state_ != ProcessState::Terminated) {
+      make_runnable(p);
+    }
+  }
+  for (auto& [event, generation] : take_batch(
+           cascade.delta_notifications, cascade.delta_notifications_spare)) {
     if (event->pending_ == Event::Pending::Delta &&
         event->generation_ == generation) {
       event->pending_ = Event::Pending::None;
       trigger_event(*event);
+    }
+  }
+  check_domain_delta_limits(task, /*wave_start=*/false);
+  return true;
+}
+
+void Kernel::fire_timed_entry(const TimedEntry& entry,
+                              std::size_t& stale_count) {
+  if (entry.kind == TimedEntry::Kind::EventFire) {
+    entry.event->queued_timed_entries_--;
+  }
+  if (is_stale(entry)) {
+    if (stale_count > 0) {
+      stale_count--;
+    }
+    return;
+  }
+  if (entry.kind == TimedEntry::Kind::EventFire) {
+    entry.event->pending_ = Event::Pending::None;
+    trigger_event(*entry.event);
+    return;
+  }
+  cancel_dynamic_wait(*entry.process);
+  entry.process->woke_by_event_ = false;
+  // The live entry is the one being consumed right now, so the generation
+  // bump must not count it stale.
+  entry.process->has_live_resume_entry_ = false;
+  entry.process->wake_generation_++;
+  make_runnable(entry.process);
+}
+
+void Kernel::check_domain_delta_limits(const GroupTask* task,
+                                       bool wave_start) {
+  if (!domain_delta_limits_enabled_) {
+    return;  // keep the no-limit default free on the scheduler hot path
+  }
+  for (const auto& domain : domains_) {
+    if (task != nullptr && find_group(domain->id()) != task->group) {
+      continue;  // a foreign domain's counters belong to another worker
+    }
+    if (wave_start || domain->runnable_count_ == 0) {
+      // Only *consecutive* delta activity counts toward the limit.
+      domain->deltas_at_current_date_ = 0;
+    }
+    if (domain->runnable_count_ == 0) {
+      continue;
+    }
+    domain->deltas_at_current_date_++;
+    if (domain->delta_limit_ != 0 &&
+        domain->deltas_at_current_date_ > domain->delta_limit_) {
+      raise_delta_livelock(
+          "domain '" + domain->name() + "' exceeded its delta-cycle limit (" +
+          std::to_string(domain->delta_limit_) + ") at date " +
+          (task != nullptr ? task->local_now : now_).to_string() +
+          "; livelocked subsystem?");
     }
   }
 }
@@ -1041,7 +1141,9 @@ void Kernel::fire_delta_notifications() {
 // delta notifications, update requests, counters -- are buffered per group
 // and merged in group order at the synchronization horizon, which makes
 // dates, delta counts and per-cause sync counts bit-identical to the
-// sequential scheduler by construction.
+// sequential scheduler by construction. Barrier rounds and lookahead
+// extensions share the group body (run_group), the dispatch (run_tasks)
+// and the merge (merge_group_tasks).
 // --------------------------------------------------------------------------
 
 Kernel::GroupTask& Kernel::task_for_group(std::size_t group_root) {
@@ -1056,32 +1158,60 @@ Kernel::GroupTask& Kernel::task_for_group(std::size_t group_root) {
   task.group = group_root;
   task.exec.kernel = this;
   task.exec.stats = &task.stat_delta;
+  task.exec.cascade = &task.cascade;
   task.stat_delta.domains.resize(stats_.domains.size());
   task_by_root_[group_root] = &task;
   phase_tasks_.push_back(&task);
   return task;
 }
 
-void Kernel::execute_group_task(GroupTask& task) {
-  // Workers arrive with clean thread-locals; the main thread (running one
-  // group inline) temporarily trades its scheduler context for the
-  // group's.
+void Kernel::partition_runnable() {
+  while (!cascade_.runnable.empty()) {
+    Process* p = cascade_.runnable.front();
+    cascade_.runnable.pop_front();
+    task_for_group(find_group(p->domain_->id())).cascade.runnable.push_back(p);
+  }
+}
+
+void Kernel::sort_phase_tasks() {
+  std::sort(phase_tasks_.begin(), phase_tasks_.end(),
+            [](const GroupTask* a, const GroupTask* b) {
+              return a->group < b->group;
+            });
+}
+
+void Kernel::run_group(GroupTask& task) {
+  // Workers arrive with clean thread-locals; a driving thread running a
+  // task inline or stealing one temporarily trades its scheduler context
+  // for the group's.
   Kernel* previous_kernel = std::exchange(g_current_kernel, this);
   ExecContext* previous_exec = std::exchange(t_exec_, &task.exec);
   GroupTask* previous_task = std::exchange(t_task_, &task);
   task.exec.tsan_fiber = fiber::tsan_current_fiber();
+  Cascade& cascade = task.cascade;
   try {
-    while (!task.queue.empty()) {
-      Process* p = task.queue.front();
-      task.queue.pop_front();
-      p->in_runnable_ = false;
-      p->domain_->runnable_count_--;
-      if (p->state_ == ProcessState::Terminated) {
-        continue;
+    evaluate(cascade);
+    std::size_t waves = 0;
+    while (task.free_running && !cascade.stop &&
+           task.agenda_pos < task.agenda.size() &&
+           waves < lookahead_max_waves_) {
+      const Time date = task.agenda[task.agenda_pos].when;
+      task.local_now = date;
+      task.wave_log.emplace_back(date.ps(), 0);
+      waves++;
+      task.stat_delta.lookahead_advances++;
+      // The stale bookkeeping goes to the task's buffered notes: that is
+      // where in-extension cancels and supersedes booked theirs.
+      while (task.agenda_pos < task.agenda.size() &&
+             task.agenda[task.agenda_pos].when == date) {
+        fire_timed_entry(task.agenda[task.agenda_pos++], task.stale_notes);
       }
-      dispatch(p);
-      if (task.stop) {
-        break;  // sequential stop semantics, scoped to this group
+      check_domain_delta_limits(&task, /*wave_start=*/true);
+      do {
+        evaluate(cascade);
+      } while (!cascade.stop && delta_step(cascade, &task));
+      if (!cascade.stop) {
+        absorb_local_timed(task);
       }
     }
   } catch (...) {
@@ -1092,170 +1222,126 @@ void Kernel::execute_group_task(GroupTask& task) {
   g_current_kernel = previous_kernel;
 }
 
-void Kernel::apply_cross_wake(Process* p) {
-  // Horizon-time version of make_runnable: called between rounds, so the
-  // target group's worker is quiescent and its queue is safe to extend.
-  if (p->in_runnable_ || p->state_ == ProcessState::Terminated) {
-    return;
-  }
-  p->in_runnable_ = true;
-  p->domain_->runnable_count_++;
-  if (p->state_ == ProcessState::Waiting) {
-    p->state_ = ProcessState::Ready;
-  }
-  task_for_group(find_group(p->domain_->id())).queue.push_back(p);
-}
-
-void Kernel::flush_group_task(GroupTask& task) {
-  // Leftover runnables (stop or error mid-round) return to the kernel
-  // queue so a later run() resumes them, like the sequential scheduler.
-  for (Process* p : task.queue) {
-    runnable_.push_back(p);
-  }
-  task.queue.clear();
-  for (Process* p : task.cross_wakes) {
-    if (!p->in_runnable_ && p->state_ != ProcessState::Terminated) {
-      p->in_runnable_ = true;
-      p->domain_->runnable_count_++;
-      if (p->state_ == ProcessState::Waiting) {
-        p->state_ = ProcessState::Ready;
-      }
-      runnable_.push_back(p);
+std::exception_ptr Kernel::run_tasks(const std::vector<GroupTask*>& tasks) {
+  if (tasks.size() == 1) {
+    run_group(*tasks.front());
+  } else {
+    // Every task goes onto the shared scheduler; instead of parking at the
+    // barrier, the driving thread steals this kernel's queued tasks and
+    // runs them until the phase drains.
+    stats_.horizon_waits += tasks.size() - 1;
+    Scheduler& scheduler = Scheduler::instance();
+    for (GroupTask* task : tasks) {
+      scheduler.submit(
+          scheduler_client_,
+          [](void* t) {
+            GroupTask& group_task = *static_cast<GroupTask*>(t);
+            group_task.kernel->run_group(group_task);
+          },
+          task);
     }
+    stats_.steals += scheduler.help_until_done(scheduler_client_);
   }
-  task.cross_wakes.clear();
-  for (Process* p : task.delta_resume) {
-    delta_resume_.push_back(p);
-  }
-  task.delta_resume.clear();
-  for (const auto& notification : task.delta_notifications) {
-    delta_notifications_.push_back(notification);
-  }
-  task.delta_notifications.clear();
-  for (UpdateListener* listener : task.update_requests) {
-    update_requests_.push_back(listener);
-  }
-  task.update_requests.clear();
-  for (const GroupTask::TimedReq& req : task.timed) {
-    TimedEntry entry;
-    entry.when = req.when;
-    entry.seq = next_timed_seq_++;
-    entry.kind = req.kind;
-    entry.event = req.event;
-    entry.event_generation = req.event_generation;
-    entry.process = req.process;
-    entry.process_generation = req.process_generation;
-    timed_push(entry);
-  }
-  task.timed.clear();
-  timed_stale_count_ += task.stale_notes;
-  task.stale_notes = 0;
-  accumulate(stats_, task.stat_delta);
-  clear_stat_delta(task.stat_delta);
-  task.stop = false;
-}
-
-void Kernel::run_parallel_evaluation_phase() {
-  phase_tasks_.clear();
-  tasks_in_use_ = 0;
-  task_by_root_.assign(domains_.size(), nullptr);
-  while (!runnable_.empty()) {
-    Process* p = runnable_.front();
-    runnable_.pop_front();
-    task_for_group(find_group(p->domain_->id())).queue.push_back(p);
-  }
-  const auto by_group = [](const GroupTask* a, const GroupTask* b) {
-    return a->group < b->group;
-  };
+  // Horizon: surface errors and stops in group order.
   std::exception_ptr first_exception;
-  std::vector<GroupTask*> active;
-  for (;;) {
-    std::sort(phase_tasks_.begin(), phase_tasks_.end(), by_group);
-    active.clear();
-    for (GroupTask* task : phase_tasks_) {
-      if (!task->queue.empty()) {
-        active.push_back(task);
+  for (GroupTask* task : tasks) {
+    if (task->exception != nullptr && first_exception == nullptr) {
+      first_exception = task->exception;
+      failing_process_ = std::move(task->failed_process);
+      failing_domain_ = std::move(task->failed_domain);
+      if (task->free_running) {
+        failing_at_ = task->local_now;
       }
     }
-    if (active.empty()) {
-      break;
-    }
-    stats_.parallel_rounds++;
-    const std::uint64_t groups_before = group_version_;
-    if (active.size() == 1) {
-      execute_group_task(*active.front());
-    } else {
-      stats_.horizon_waits += active.size() - 1;
-      Scheduler& scheduler = Scheduler::instance();
-      for (std::size_t i = 1; i < active.size(); ++i) {
-        GroupTask* task = active[i];
-        scheduler.submit(
-            scheduler_client_,
-            [](void* t) {
-              GroupTask& group_task = *static_cast<GroupTask*>(t);
-              group_task.kernel->execute_group_task(group_task);
-            },
-            task);
-      }
-      execute_group_task(*active.front());
-      // Work stealing: instead of parking at the barrier, the driving
-      // thread pulls this kernel's queued group tasks off the shared
-      // scheduler and runs them.
-      stats_.steals += scheduler.help_until_done(scheduler_client_);
-    }
-    // Horizon: surface errors and stops, then route cross-group wakes --
-    // all in group order, so the next round's queues are deterministic.
-    for (GroupTask* task : active) {
-      if (task->exception != nullptr && first_exception == nullptr) {
-        first_exception = task->exception;
-        failing_process_ = std::move(task->failed_process);
-        failing_domain_ = std::move(task->failed_domain);
-      }
-      task->exception = nullptr;
-      task->failed_process.clear();
-      task->failed_domain.clear();
-      if (task->stop) {
-        stop_requested_ = true;
-      }
-    }
-    for (GroupTask* task : active) {
-      // apply_cross_wake never records a cross wake, so the list is
-      // walked in place and keeps its capacity.
-      for (Process* p : task->cross_wakes) {
-        apply_cross_wake(p);
-      }
-      task->cross_wakes.clear();
-    }
-    if (first_exception != nullptr || stop_requested_) {
-      break;
-    }
-    if (group_version_ != groups_before) {
-      // The channel layer merged groups mid-round (first cross-domain
-      // traffic on some channel). Re-partition the remaining work under
-      // the new grouping before running another round.
-      std::sort(phase_tasks_.begin(), phase_tasks_.end(), by_group);
-      std::deque<Process*> pending;
-      for (GroupTask* task : phase_tasks_) {
-        for (Process* p : task->queue) {
-          pending.push_back(p);
-        }
-        task->queue.clear();
-      }
-      for (Process* p : pending) {
-        task_for_group(find_group(p->domain_->id())).queue.push_back(p);
-      }
+    task->exception = nullptr;
+    task->failed_process.clear();
+    task->failed_domain.clear();
+    if (task->cascade.stop) {
+      cascade_.stop = true;
     }
   }
-  // Merge every group's buffered side effects, in group order.
-  std::sort(phase_tasks_.begin(), phase_tasks_.end(), by_group);
+  return first_exception;
+}
+
+void Kernel::merge_group_tasks(std::exception_ptr first_exception) {
+  sort_phase_tasks();
   for (GroupTask* task : phase_tasks_) {
-    flush_group_task(*task);
+    Cascade& from = task->cascade;
+    // Leftover runnables (stop or error mid-round) return to the kernel
+    // queue so a later run() resumes them, like the sequential scheduler.
+    drain_into(cascade_.runnable, from.runnable);
+    for (Process* p : task->cross_wakes) {
+      enqueue_runnable(p, cascade_);
+    }
+    task->cross_wakes.clear();
+    drain_into(cascade_.delta_resume, from.delta_resume);
+    drain_into(cascade_.delta_notifications, from.delta_notifications);
+    drain_into(cascade_.update_requests, from.update_requests);
+    from.stop = false;
+    for (TimedEntry entry : task->timed) {
+      entry.seq = next_timed_seq_++;
+      timed_push(entry);
+    }
+    task->timed.clear();
+    timed_stale_count_ += task->stale_notes;
+    task->stale_notes = 0;
+    accumulate(stats_, task->stat_delta);
+    clear_stat_delta(task->stat_delta);
   }
   maybe_compact_timed_queue();
   publish_domain_fronts();
   if (first_exception != nullptr) {
     std::rethrow_exception(first_exception);
   }
+}
+
+void Kernel::run_parallel_evaluation_phase() {
+  phase_tasks_.clear();
+  tasks_in_use_ = 0;
+  task_by_root_.assign(domains_.size(), nullptr);
+  partition_runnable();
+  std::exception_ptr first_exception;
+  for (;;) {
+    sort_phase_tasks();
+    round_tasks_.clear();
+    for (GroupTask* task : phase_tasks_) {
+      if (!task->cascade.runnable.empty()) {
+        round_tasks_.push_back(task);
+      }
+    }
+    if (round_tasks_.empty()) {
+      break;
+    }
+    stats_.parallel_rounds++;
+    const std::uint64_t groups_before = group_version_;
+    first_exception = run_tasks(round_tasks_);
+    // Route cross-group wakes through the kernel's queue into their groups'
+    // queues, in group order, so the next round's queues are deterministic
+    // (the target groups' workers are quiescent now). enqueue_runnable
+    // never records a cross wake, so each list is walked in place and
+    // keeps its capacity.
+    for (GroupTask* task : round_tasks_) {
+      for (Process* p : task->cross_wakes) {
+        enqueue_runnable(p, cascade_);
+      }
+      task->cross_wakes.clear();
+    }
+    partition_runnable();
+    if (first_exception != nullptr || cascade_.stop) {
+      break;
+    }
+    if (group_version_ != groups_before) {
+      // The channel layer merged groups mid-round (first cross-domain
+      // traffic on some channel). Re-partition the remaining work under
+      // the new grouping, in group order, before running another round.
+      sort_phase_tasks();
+      for (GroupTask* task : phase_tasks_) {
+        drain_into(cascade_.runnable, task->cascade.runnable);
+      }
+      partition_runnable();
+    }
+  }
+  merge_group_tasks(first_exception);
 }
 
 // --------------------------------------------------------------------------
@@ -1307,11 +1393,10 @@ std::optional<std::size_t> Kernel::sole_waiter_group(const Event& e) const {
   return group;  // nullopt when the event has no waiters at all
 }
 
-void Kernel::compute_lookahead_state(std::vector<std::uint64_t>& earliest,
-                                     std::vector<std::uint64_t>& window) const {
+void Kernel::compute_lookahead_state(LookaheadScratch& s) const {
   const std::size_t n = domains_.size();
-  earliest.assign(n, kNoDatePs);
-  std::vector<std::uint64_t> clamp(n, kNoDatePs);
+  s.earliest.assign(n, kNoDatePs);
+  s.clamp.assign(n, kNoDatePs);
   // Entries no single group owns (events with no or cross-group waiters)
   // choke every window: any group could observe their firing.
   std::uint64_t choke = kNoDatePs;
@@ -1322,7 +1407,7 @@ void Kernel::compute_lookahead_state(std::vector<std::uint64_t>& earliest,
     const std::uint64_t when = entry.when.ps();
     if (entry.kind == TimedEntry::Kind::ProcessResume) {
       const std::size_t g = find_group(entry.process->domain_->id());
-      earliest[g] = std::min(earliest[g], when);
+      s.earliest[g] = std::min(s.earliest[g], when);
       continue;
     }
     const std::optional<std::size_t> owner = sole_waiter_group(*entry.event);
@@ -1330,20 +1415,15 @@ void Kernel::compute_lookahead_state(std::vector<std::uint64_t>& earliest,
       choke = std::min(choke, when);
       continue;
     }
-    earliest[*owner] = std::min(earliest[*owner], when);
+    s.earliest[*owner] = std::min(s.earliest[*owner], when);
     if (entry.event->cross_group_notified()) {
       // Declared relay: fired only at global waves (the notifier may be
       // mid-flight); until then it bounds the waiter group's free-run.
-      clamp[*owner] = std::min(clamp[*owner], when);
+      s.clamp[*owner] = std::min(s.clamp[*owner], when);
     }
   }
   // The weighted inter-group edges, both directions per record.
-  struct Edge {
-    std::size_t from;
-    std::size_t to;
-    std::uint64_t latency;
-  };
-  std::vector<Edge> edges;
+  s.edges.clear();
   {
     std::lock_guard<std::mutex> lock(group_mutex_);
     for (const DomainLinkRecord& link : domain_links_) {
@@ -1356,20 +1436,20 @@ void Kernel::compute_lookahead_state(std::vector<std::uint64_t>& earliest,
         continue;  // merged since the declaration; the edge is moot
       }
       const std::uint64_t latency = link.min_latency.ps();
-      edges.push_back({ra, rb, latency});
-      edges.push_back({rb, ra, latency});
+      s.edges.push_back({ra, rb, latency});
+      s.edges.push_back({rb, ra, latency});
     }
   }
   // The CMB fixed point. All latencies are positive (zero-latency
   // declarations merge instead), so this is shortest-path relaxation with
   // positive weights: at most n full rounds.
-  std::vector<std::uint64_t> reach = earliest;
+  s.reach = s.earliest;
   for (std::size_t iter = 0; iter < n; ++iter) {
     bool changed = false;
-    for (const Edge& edge : edges) {
-      const std::uint64_t via = sat_add_ps(reach[edge.from], edge.latency);
-      if (via < reach[edge.to]) {
-        reach[edge.to] = via;
+    for (const LookaheadScratch::Edge& edge : s.edges) {
+      const std::uint64_t via = sat_add_ps(s.reach[edge.from], edge.latency);
+      if (via < s.reach[edge.to]) {
+        s.reach[edge.to] = via;
         changed = true;
       }
     }
@@ -1377,21 +1457,20 @@ void Kernel::compute_lookahead_state(std::vector<std::uint64_t>& earliest,
       break;
     }
   }
-  window.assign(n, kNoDatePs);
-  for (const Edge& edge : edges) {
-    window[edge.to] = std::min(window[edge.to],
-                               sat_add_ps(reach[edge.from], edge.latency));
+  s.window.assign(n, kNoDatePs);
+  for (const LookaheadScratch::Edge& edge : s.edges) {
+    s.window[edge.to] = std::min(s.window[edge.to],
+                                 sat_add_ps(s.reach[edge.from], edge.latency));
   }
   for (std::size_t g = 0; g < n; ++g) {
-    window[g] = std::min(window[g], std::min(clamp[g], choke));
+    s.window[g] = std::min(s.window[g], std::min(s.clamp[g], choke));
   }
 }
 
 std::optional<Time> Kernel::lookahead_bound(const SyncDomain& domain) const {
-  std::vector<std::uint64_t> earliest;
-  std::vector<std::uint64_t> window;
-  compute_lookahead_state(earliest, window);
-  const std::uint64_t bound = window[find_group(domain.id())];
+  LookaheadScratch s;
+  compute_lookahead_state(s);
+  const std::uint64_t bound = s.window[find_group(domain.id())];
   if (bound == kNoDatePs) {
     return std::nullopt;
   }
@@ -1413,21 +1492,20 @@ bool Kernel::run_lookahead_extension(Time until) {
     return false;
   }
   const std::size_t n = domains_.size();
-  std::vector<std::uint64_t> earliest;
-  std::vector<std::uint64_t> window;
-  compute_lookahead_state(earliest, window);
+  LookaheadScratch& s = lookahead_scratch_;
+  compute_lookahead_state(s);
   // Exclusive per-group date cap for this extension: the lookahead window
   // clipped to the run limit (entries at `until` itself may still run --
   // hence the +1 -- matching the global loop, which advances to `until`).
   const std::uint64_t until_cap = sat_add_ps(until.ps(), 1);
-  std::vector<std::uint64_t> cap(n, 0);
+  s.cap.assign(n, 0);
   std::size_t eligible = 0;
   for (std::size_t g = 0; g < n; ++g) {
-    if (earliest[g] == kNoDatePs) {
+    if (s.earliest[g] == kNoDatePs) {
       continue;
     }
-    cap[g] = std::min(window[g], until_cap);
-    if (earliest[g] < cap[g]) {
+    s.cap[g] = std::min(s.window[g], until_cap);
+    if (s.earliest[g] < s.cap[g]) {
       eligible++;
     }
   }
@@ -1459,8 +1537,8 @@ bool Kernel::run_lookahead_extension(Time until) {
           }
           g = *owner;
         }
-        if (earliest[g] == kNoDatePs || earliest[g] >= cap[g] ||
-            entry.when.ps() >= cap[g]) {
+        if (s.earliest[g] == kNoDatePs || s.earliest[g] >= s.cap[g] ||
+            entry.when.ps() >= s.cap[g]) {
           return false;
         }
         task_for_group(g).agenda.push_back(entry);
@@ -1468,290 +1546,97 @@ bool Kernel::run_lookahead_extension(Time until) {
       });
   timed_queue_.erase(live_end, timed_queue_.end());
   timed_reheap();
-  const auto by_group = [](const GroupTask* a, const GroupTask* b) {
-    return a->group < b->group;
-  };
-  std::sort(phase_tasks_.begin(), phase_tasks_.end(), by_group);
-  const auto agenda_less = [](const TimedEntry& a, const TimedEntry& b) {
-    if (a.when != b.when) {
-      return a.when < b.when;
-    }
-    return a.seq < b.seq;
-  };
+  sort_phase_tasks();
   for (GroupTask* task : phase_tasks_) {
-    std::sort(task->agenda.begin(), task->agenda.end(), agenda_less);
+    std::sort(task->agenda.begin(), task->agenda.end());
     task->agenda_pos = 0;
     task->free_running = true;
     task->local_now = now_;
-    task->window_cap = Time::from_ps(cap[task->group]);
+    task->window_cap = Time::from_ps(s.cap[task->group]);
     task->local_seq = 0;
     task->timed_scan_pos = 0;
-    task->wave_log.clear();
-    task->member_domains.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (find_group(i) == task->group) {
-        task->member_domains.push_back(domains_[i].get());
-      }
-    }
   }
-  // Dispatch: every group goes onto the shared deque; the main thread
-  // steals from it until the extension drains.
   stats_.parallel_rounds++;
-  stats_.horizon_waits += phase_tasks_.size() - 1;
-  Scheduler& scheduler = Scheduler::instance();
   free_run_live_ = true;
-  for (GroupTask* task : phase_tasks_) {
-    scheduler.submit(
-        scheduler_client_,
-        [](void* t) {
-          GroupTask& group_task = *static_cast<GroupTask*>(t);
-          group_task.kernel->free_run_group(group_task);
-        },
-        task);
-  }
-  stats_.steals += scheduler.help_until_done(scheduler_client_);
+  std::exception_ptr first_exception = run_tasks(phase_tasks_);
   free_run_live_ = false;
-  // Horizon: surface errors and stops first (mirroring the round loop),
-  // then merge every group in group order.
-  std::exception_ptr first_exception;
   for (GroupTask* task : phase_tasks_) {
-    if (task->exception != nullptr && first_exception == nullptr) {
-      first_exception = task->exception;
-      failing_process_ = std::move(task->failed_process);
-      failing_domain_ = std::move(task->failed_domain);
-    }
-    task->exception = nullptr;
-    task->failed_process.clear();
-    task->failed_domain.clear();
-    if (task->stop) {
-      stop_requested_ = true;
-    }
-  }
-  for (GroupTask* task : phase_tasks_) {
-    // (a) Prepaid accounting: pay the merged schedule's wave and delta
-    // increments for the dates this group ran through. Same-date waves
-    // line up by index (offset by rows the global loop already consumed),
-    // and per index the merged delta count is the elementwise max across
-    // groups -- a shared delta iteration runs every group's chain at once.
-    std::map<std::uint64_t, std::size_t> next_index;
-    for (const auto& [date_ps, deltas] : task->wave_log) {
-      PrepaidDate& row = prepaid_waves_[date_ps];
-      const auto it = next_index.try_emplace(date_ps, row.consumed).first;
-      const std::size_t index = it->second++;
-      if (index < row.wave_deltas.size()) {
-        if (deltas > row.wave_deltas[index]) {
-          stats_.delta_cycles += deltas - row.wave_deltas[index];
-          row.wave_deltas[index] = deltas;
-        }
-      } else {
-        row.wave_deltas.push_back(deltas);
-        stats_.timed_waves++;
-        stats_.delta_cycles += 1 + deltas;
-      }
-    }
-    if (!task->wave_log.empty() &&
-        task->wave_log.back().first > free_run_end_.ps()) {
-      // Furthest date any extension has executed: when the queue later
-      // drains, the final now_ must land here, like the sequential
-      // schedule's last wave.
-      free_run_end_ = Time::from_ps(task->wave_log.back().first);
-    }
-    task->wave_log.clear();
-    // (b) Unexecuted agenda entries (wave cap, stop, error): extracted
-    // entries return to the global queue with their original sequence
-    // numbers; locally-born ones go back into the timed buffer at the
-    // absorb scan point, in birth order -- everything after that point
-    // was born later.
-    std::vector<TimedEntry> leftover_local;
+    book_prepaid_waves(*task);
+    // Unexecuted agenda entries (wave cap, stop, error): extracted entries
+    // return to the global queue with their original sequence numbers;
+    // locally-born ones go back into the timed buffer at the absorb scan
+    // point, in birth order -- everything after that point was born later
+    // -- and are sequenced by the merge.
+    leftover_local_.clear();
     for (std::size_t i = task->agenda_pos; i < task->agenda.size(); ++i) {
       const TimedEntry& entry = task->agenda[i];
       if (entry.seq >= kLocalSeqBase) {
-        leftover_local.push_back(entry);
+        leftover_local_.push_back(entry);
       } else {
         timed_push(entry);
       }
     }
-    if (!leftover_local.empty()) {
-      std::sort(leftover_local.begin(), leftover_local.end(),
-                [](const TimedEntry& a, const TimedEntry& b) {
-                  return a.seq < b.seq;
-                });
-      std::vector<GroupTask::TimedReq> reqs;
-      reqs.reserve(leftover_local.size());
-      for (const TimedEntry& entry : leftover_local) {
-        reqs.push_back({entry.when, entry.kind, entry.event,
-                        entry.event_generation, entry.process,
-                        entry.process_generation});
-      }
-      task->timed.insert(
-          task->timed.begin() +
-              static_cast<std::ptrdiff_t>(task->timed_scan_pos),
-          reqs.begin(), reqs.end());
-    }
+    std::sort(leftover_local_.begin(), leftover_local_.end(),
+              [](const TimedEntry& a, const TimedEntry& b) {
+                return a.seq < b.seq;
+              });
+    task->timed.insert(task->timed.begin() +
+                           static_cast<std::ptrdiff_t>(task->timed_scan_pos),
+                       leftover_local_.begin(), leftover_local_.end());
     task->agenda.clear();
     task->agenda_pos = 0;
     task->free_running = false;
-    task->member_domains.clear();
-    // (c) The regular horizon merge: queues, wakes, timed buffer, stats.
-    flush_group_task(*task);
   }
-  maybe_compact_timed_queue();
-  publish_domain_fronts();
-  if (first_exception != nullptr) {
-    std::rethrow_exception(first_exception);
-  }
+  merge_group_tasks(first_exception);
   return true;
 }
 
-void Kernel::free_run_group(GroupTask& task) {
-  Kernel* previous_kernel = std::exchange(g_current_kernel, this);
-  ExecContext* previous_exec = std::exchange(t_exec_, &task.exec);
-  GroupTask* previous_task = std::exchange(t_task_, &task);
-  task.exec.tsan_fiber = fiber::tsan_current_fiber();
-  try {
-    std::size_t waves = 0;
-    while (task.agenda_pos < task.agenda.size() && !task.stop &&
-           waves < lookahead_max_waves_) {
-      const Time date = task.agenda[task.agenda_pos].when;
-      task.local_now = date;
-      if (domain_delta_limits_enabled_) {
-        for (SyncDomain* domain : task.member_domains) {
-          domain->deltas_at_current_date_ = 0;
-        }
-      }
-      task.wave_log.emplace_back(date.ps(), 0);
-      waves++;
-      task.stat_delta.lookahead_advances++;
-      while (task.agenda_pos < task.agenda.size() &&
-             task.agenda[task.agenda_pos].when == date) {
-        fire_agenda_entry(task, task.agenda[task.agenda_pos]);
-        task.agenda_pos++;
-      }
-      run_local_cascade(task);
-      if (task.stop) {
-        break;
-      }
-      absorb_local_timed(task);
+void Kernel::book_prepaid_waves(GroupTask& task) {
+  // Pay the merged schedule's wave and delta increments for the dates this
+  // group ran through. The ledger holds the waves the global loop has not
+  // reached, so a date's first row is the next wave at that date; the
+  // group's same-date waves line up with its rows by index, and per index
+  // the merged delta count is the elementwise max across groups -- a
+  // shared delta iteration runs every group's chain at once.
+  prepaid_.erase(prepaid_.begin(),
+                 prepaid_.begin() + static_cast<std::ptrdiff_t>(prepaid_head_));
+  prepaid_head_ = 0;
+  // The wave log is in date order, so same-date waves are adjacent: a
+  // running row index replaces a per-date lookup.
+  std::size_t row = 0;
+  std::uint64_t row_date = kNoDatePs;
+  for (const auto& [date_ps, deltas] : task.wave_log) {
+    if (date_ps != row_date) {
+      row_date = date_ps;
+      row = static_cast<std::size_t>(
+          std::lower_bound(prepaid_.begin() + static_cast<std::ptrdiff_t>(row),
+                           prepaid_.end(), date_ps,
+                           [](const PrepaidWave& w, std::uint64_t date) {
+                             return w.date_ps < date;
+                           }) -
+          prepaid_.begin());
     }
-  } catch (...) {
-    task.exception = std::current_exception();
+    if (row < prepaid_.size() && prepaid_[row].date_ps == date_ps) {
+      if (deltas > prepaid_[row].deltas) {
+        stats_.delta_cycles += deltas - prepaid_[row].deltas;
+        prepaid_[row].deltas = deltas;
+      }
+    } else {
+      prepaid_.insert(prepaid_.begin() + static_cast<std::ptrdiff_t>(row),
+                      PrepaidWave{date_ps, deltas});
+      stats_.timed_waves++;
+      stats_.delta_cycles += 1 + deltas;
+    }
+    row++;
   }
-  t_task_ = previous_task;
-  t_exec_ = previous_exec;
-  g_current_kernel = previous_kernel;
-}
-
-void Kernel::fire_agenda_entry(GroupTask& task, TimedEntry& entry) {
-  // Mirrors the global timed phase's firing semantics exactly, with the
-  // stale bookkeeping going to the task's buffered notes (that is where
-  // in-extension cancels and supersedes booked theirs).
-  if (entry.kind == TimedEntry::Kind::EventFire) {
-    entry.event->queued_timed_entries_--;
-    if (is_stale(entry)) {
-      if (task.stale_notes > 0) {
-        task.stale_notes--;
-      }
-      return;
-    }
-    entry.event->pending_ = Event::Pending::None;
-    trigger_event(*entry.event);
-    return;
+  if (!task.wave_log.empty() &&
+      task.wave_log.back().first > free_run_end_.ps()) {
+    // Furthest date any extension has executed: when the queue later
+    // drains, the final now_ must land here, like the sequential
+    // schedule's last wave.
+    free_run_end_ = Time::from_ps(task.wave_log.back().first);
   }
-  if (is_stale(entry)) {
-    if (task.stale_notes > 0) {
-      task.stale_notes--;
-    }
-    return;
-  }
-  cancel_dynamic_wait(*entry.process);
-  entry.process->woke_by_event_ = false;
-  // The live entry is the one being consumed right now, so the generation
-  // bump must not count it stale.
-  entry.process->has_live_resume_entry_ = false;
-  entry.process->wake_generation_++;
-  make_runnable(entry.process);
-}
-
-void Kernel::run_local_cascade(GroupTask& task) {
-  // One wave's evaluate -> update -> delta loop, against the task's own
-  // buffers (make_runnable and queue_delta_notification land there because
-  // this thread's t_task_ is the task).
-  for (;;) {
-    while (!task.queue.empty()) {
-      Process* p = task.queue.front();
-      task.queue.pop_front();
-      p->in_runnable_ = false;
-      p->domain_->runnable_count_--;
-      if (p->state_ == ProcessState::Terminated) {
-        continue;
-      }
-      dispatch(p);
-      if (task.stop) {
-        return;
-      }
-    }
-    while (!task.update_requests.empty()) {
-      for (UpdateListener* listener :
-           take_batch(task.update_requests, task.update_requests_spare)) {
-        listener->update();
-      }
-    }
-    // Per-iteration chunk flush, group-filtered -- the free-running analog
-    // of the main loop's post-update flush (see Kernel::run): keeps this
-    // group's flush-induced delta iterations at the same chain depth as
-    // the sequential schedule, and never lets the local date outrun one of
-    // the group's own unpublished chunks.
-    if (chunk_flush_count_.load(std::memory_order_relaxed) != 0) {
-      flush_group_chunks(task);
-    }
-    if (task.delta_notifications.empty() && task.delta_resume.empty()) {
-      return;
-    }
-    std::uint32_t& deltas = task.wave_log.back().second;
-    deltas++;
-    if (delta_limit_ != 0 && deltas > delta_limit_) {
-      const SyncDomain* lagging = lagging_domain();
-      raise_delta_livelock(
-          "delta-cycle limit (" + std::to_string(delta_limit_) +
-          ") exceeded at date " + task.local_now.to_string() +
-          (lagging != nullptr
-               ? " (lagging domain: '" + lagging->name() + "')"
-               : std::string()) +
-          "; livelocked model?");
-    }
-    for (Process* p : take_batch(task.delta_resume, task.delta_resume_spare)) {
-      if (p->state_ != ProcessState::Terminated) {
-        make_runnable(p);
-      }
-    }
-    for (auto& [event, generation] : take_batch(
-             task.delta_notifications, task.delta_notifications_spare)) {
-      if (event->pending_ == Event::Pending::Delta &&
-          event->generation_ == generation) {
-        event->pending_ = Event::Pending::None;
-        trigger_event(*event);
-      }
-    }
-    if (domain_delta_limits_enabled_) {
-      // Member domains only: foreign domains' counters belong to other
-      // workers.
-      for (SyncDomain* domain : task.member_domains) {
-        if (domain->runnable_count_ == 0) {
-          domain->deltas_at_current_date_ = 0;
-          continue;
-        }
-        domain->deltas_at_current_date_++;
-        if (domain->delta_limit_ != 0 &&
-            domain->deltas_at_current_date_ > domain->delta_limit_) {
-          raise_delta_livelock("domain '" + domain->name() + "' exceeded its "
-                               "delta-cycle limit (" +
-                               std::to_string(domain->delta_limit_) +
-                               ") at date " + task.local_now.to_string() +
-                               "; livelocked subsystem?");
-        }
-      }
-    }
-  }
+  task.wave_log.clear();
 }
 
 void Kernel::absorb_local_timed(GroupTask& task) {
@@ -1764,48 +1649,36 @@ void Kernel::absorb_local_timed(GroupTask& task) {
   const std::uint64_t cap = task.window_cap.ps();
   std::size_t write = task.timed_scan_pos;
   for (std::size_t read = task.timed_scan_pos; read < reqs.size(); ++read) {
-    GroupTask::TimedReq& req = reqs[read];
+    TimedEntry& entry = reqs[read];
     bool local = false;
-    if (req.when.ps() < cap) {
-      if (req.kind == TimedEntry::Kind::ProcessResume) {
-        local = find_group(req.process->domain_->id()) == task.group;
-      } else if (!req.event->cross_group_notified()) {
-        const std::optional<std::size_t> owner = sole_waiter_group(*req.event);
+    if (entry.when.ps() < cap) {
+      if (entry.kind == TimedEntry::Kind::ProcessResume) {
+        local = find_group(entry.process->domain_->id()) == task.group;
+      } else if (!entry.event->cross_group_notified()) {
+        const std::optional<std::size_t> owner =
+            sole_waiter_group(*entry.event);
         // A notification this group issued on an event nobody is waiting
         // for (yet) is the group's own to fire: sequentially it would fire
         // at its date and clear the pending state, letting later notifies
         // reschedule. Leaving it buffered would swallow those reschedules
         // ("earlier notification already pending") for the whole window.
         local = owner.has_value() ? *owner == task.group
-                                  : req.event->static_waiters_.empty() &&
-                                        req.event->dynamic_waiters_.empty();
+                                  : entry.event->static_waiters_.empty() &&
+                                        entry.event->dynamic_waiters_.empty();
       }
     }
     if (!local) {
       if (write != read) {
-        reqs[write] = reqs[read];
+        reqs[write] = entry;
       }
       write++;
       continue;
     }
-    TimedEntry entry;
-    entry.when = req.when;
     entry.seq = kLocalSeqBase + task.local_seq++;
-    entry.kind = req.kind;
-    entry.event = req.event;
-    entry.event_generation = req.event_generation;
-    entry.process = req.process;
-    entry.process_generation = req.process_generation;
-    const auto agenda_less = [](const TimedEntry& a, const TimedEntry& b) {
-      if (a.when != b.when) {
-        return a.when < b.when;
-      }
-      return a.seq < b.seq;
-    };
     task.agenda.insert(
         std::upper_bound(task.agenda.begin() +
                              static_cast<std::ptrdiff_t>(task.agenda_pos),
-                         task.agenda.end(), entry, agenda_less),
+                         task.agenda.end(), entry),
         entry);
   }
   reqs.resize(write);
@@ -1840,11 +1713,12 @@ void Kernel::run(const RunOptions& options) {
   Kernel* previous = std::exchange(g_current_kernel, this);
   ExecContext* previous_exec = std::exchange(t_exec_, &main_exec_);
   main_exec_.tsan_fiber = fiber::tsan_current_fiber();
-  stop_requested_ = false;
+  cascade_.stop = false;
   prepaid_skip_deltas_ = 0;
   health_ = Health::Running;
   failing_process_.clear();
   failing_domain_.clear();
+  failing_at_.reset();
   arm_watchdog(options.wall_limit_ms);
   bool force_sequential_phase = false;
   if (!initialized_) {
@@ -1863,7 +1737,7 @@ void Kernel::run(const RunOptions& options) {
     publish_domain_fronts();
   }
   try {
-    while (!stop_requested_) {
+    while (!cascade_.stop) {
       // Wall-clock watchdog, checked once per scheduler iteration -- a
       // synchronization horizon (delta or timed-wave boundary), where
       // every group is quiescent. One branch while disarmed.
@@ -1872,65 +1746,14 @@ void Kernel::run(const RunOptions& options) {
       if (parallel_enabled() && !force_sequential_phase) {
         run_parallel_evaluation_phase();
       } else {
-        while (!runnable_.empty()) {
-          Process* p = runnable_.front();
-          runnable_.pop_front();
-          p->in_runnable_ = false;
-          p->domain_->runnable_count_--;
-          if (p->state_ == ProcessState::Terminated) {
-            continue;
-          }
-          dispatch(p);
-          if (stop_requested_) {
-            break;
-          }
-        }
+        evaluate(cascade_);
       }
       force_sequential_phase = false;
-      if (stop_requested_) {
+      if (cascade_.stop) {
         break;
       }
-      // Update phase.
-      run_update_phase();
-      // Chunked-channel flush, folded into every cascade iteration: a
-      // group's flush-induced notifications enter the iteration right
-      // after its chunks became pending -- a depth determined by the
-      // group's own delta chain, so the lookahead extensions' per-group
-      // cascades (which flush at the same point in run_local_cascade)
-      // line up with the sequential schedule index-for-index and the
-      // prepaid elementwise-max merge stays exact. It also maintains the
-      // chunked-mode invariant: nothing unpublished survives a drained
-      // cascade, so time never advances past a dirty chunk.
-      if (chunk_flush_count_.load(std::memory_order_relaxed) != 0) {
-        flush_chunked_channels();
-      }
-      // Delta-notification phase.
-      if (!delta_notifications_.empty() || !delta_resume_.empty()) {
-        if (prepaid_skip_deltas_ > 0) {
-          // A lookahead extension already counted this iteration at its
-          // merge (prepaid ledger); counting it again would break the
-          // bit-identity with the sequential schedule.
-          prepaid_skip_deltas_--;
-        } else {
-          stats_.delta_cycles++;
-        }
-        if (delta_limit_ != 0 && ++deltas_at_current_date_ > delta_limit_) {
-          const SyncDomain* lagging = lagging_domain();
-          raise_delta_livelock(
-              "delta-cycle limit (" + std::to_string(delta_limit_) +
-              ") exceeded at date " + now_.to_string() +
-              (lagging != nullptr
-                   ? " (lagging domain: '" + lagging->name() + "')"
-                   : std::string()) +
-              "; livelocked model?");
-        }
-        for (Process* p : take_batch(delta_resume_, delta_resume_spare_)) {
-          if (p->state_ != ProcessState::Terminated) {
-            make_runnable(p);
-          }
-        }
-        fire_delta_notifications();
-        check_domain_delta_limits();
+      // Update, chunk flush and delta-notification phases.
+      if (delta_step(cascade_, nullptr)) {
         continue;
       }
       // Quantum-control horizon: every group is quiescent and the books
@@ -1942,14 +1765,9 @@ void Kernel::run(const RunOptions& options) {
       // Timed-notification phase. Drop stale entries (cancelled or
       // superseded notifications) first so they never advance time.
       while (!timed_queue_.empty() && is_stale(timed_queue_.front())) {
-        const TimedEntry& top = timed_queue_.front();
-        if (top.kind == TimedEntry::Kind::EventFire) {
-          top.event->queued_timed_entries_--;
-        }
+        const TimedEntry entry = timed_queue_.front();
         timed_pop();
-        if (timed_stale_count_ > 0) {
-          timed_stale_count_--;
-        }
+        fire_timed_entry(entry, timed_stale_count_);
       }
       if (timed_queue_.empty()) {
         if (free_run_end_ > now_) {
@@ -1971,65 +1789,33 @@ void Kernel::run(const RunOptions& options) {
       }
       now_ = next;
       deltas_at_current_date_ = 0;
-      if (domain_delta_limits_enabled_) {
-        for (const auto& domain : domains_) {
-          domain->deltas_at_current_date_ = 0;
-        }
-      }
       // Consume the prepaid ledger: if an extension already executed (and
       // paid for) this date's next wave, skip the increments it covered.
-      prepaid_skip_deltas_ = 0;
-      bool wave_prepaid = false;
-      if (!prepaid_waves_.empty()) {
-        prepaid_waves_.erase(prepaid_waves_.begin(),
-                             prepaid_waves_.lower_bound(next.ps()));
-        const auto it = prepaid_waves_.find(next.ps());
-        if (it != prepaid_waves_.end() &&
-            it->second.consumed < it->second.wave_deltas.size()) {
-          prepaid_skip_deltas_ = it->second.wave_deltas[it->second.consumed++];
-          wave_prepaid = true;
-        }
+      while (prepaid_head_ < prepaid_.size() &&
+             prepaid_[prepaid_head_].date_ps < next.ps()) {
+        prepaid_head_++;  // dates the global loop never reached
       }
-      if (!wave_prepaid) {
+      if (prepaid_head_ < prepaid_.size() &&
+          prepaid_[prepaid_head_].date_ps == next.ps()) {
+        prepaid_skip_deltas_ = prepaid_[prepaid_head_++].deltas;
+      } else {
+        prepaid_skip_deltas_ = 0;
         stats_.timed_waves++;
         stats_.delta_cycles++;
       }
       while (!timed_queue_.empty() && timed_queue_.front().when == now_) {
-        TimedEntry entry = timed_queue_.front();
+        const TimedEntry entry = timed_queue_.front();
         timed_pop();
-        if (entry.kind == TimedEntry::Kind::EventFire) {
-          entry.event->queued_timed_entries_--;
-        }
-        if (is_stale(entry)) {
-          if (timed_stale_count_ > 0) {
-            timed_stale_count_--;
-          }
-          continue;
-        }
-        switch (entry.kind) {
-          case TimedEntry::Kind::EventFire:
-            entry.event->pending_ = Event::Pending::None;
-            trigger_event(*entry.event);
-            break;
-          case TimedEntry::Kind::ProcessResume:
-            cancel_dynamic_wait(*entry.process);
-            entry.process->woke_by_event_ = false;
-            // The live entry is the one being consumed right now, so the
-            // generation bump must not count it stale.
-            entry.process->has_live_resume_entry_ = false;
-            entry.process->wake_generation_++;
-            make_runnable(entry.process);
-            break;
-        }
+        fire_timed_entry(entry, timed_stale_count_);
       }
-      check_domain_delta_limits();
+      check_domain_delta_limits(nullptr, /*wave_start=*/true);
     }
   } catch (...) {
     stats_.fold_domain_sync_aggregates();
     // Running -> Failed: assemble the post-mortem, terminate live fibers,
     // release this kernel's slots on the shared Scheduler. The buffered
-    // GroupTask side effects were already merged -- both parallel paths
-    // flush every task before rethrowing the first exception -- so the
+    // GroupTask side effects were already merged -- the horizon merge
+    // flushes every task before rethrowing the first exception -- so the
     // kernel is inert and leak-free to destroy, and sibling kernels on
     // the scheduler are unaffected.
     enter_failed_state(std::current_exception());
@@ -2047,14 +1833,11 @@ void Kernel::run(const RunOptions& options) {
 }
 
 void Kernel::stop() {
-  if (GroupTask* task = active_task()) {
-    // Scoped to the stopping group until the horizon: its queue breaks
-    // immediately (sequential semantics); other groups finish their round
-    // deterministically before the kernel-wide stop is observed.
-    task->stop = true;
-    return;
-  }
-  stop_requested_ = true;
+  // From a group task the stop is scoped to the group until the horizon:
+  // its queue breaks immediately (sequential semantics); other groups
+  // finish their round deterministically before the kernel-wide stop is
+  // observed.
+  active_cascade().stop = true;
 }
 
 void Kernel::dispatch(Process* p) {
@@ -2207,11 +1990,7 @@ bool Kernel::wait(Event& event, Time timeout) {
 
 void Kernel::wait_delta() {
   Process* p = require_thread("wait_delta()");
-  if (GroupTask* task = active_task()) {
-    task->delta_resume.push_back(p);
-  } else {
-    delta_resume_.push_back(p);
-  }
+  active_cascade().delta_resume.push_back(p);
   bump_wake_generation(*p);  // invalidate any stale timers
   p->state_ = ProcessState::Waiting;
   yield_current_thread();
@@ -2234,28 +2013,6 @@ void Kernel::next_trigger(Time delay) {
   p->trigger_override_ = true;
 }
 
-void Kernel::check_domain_delta_limits() {
-  if (!domain_delta_limits_enabled_) {
-    return;  // keep the no-limit default free on the scheduler hot path
-  }
-  for (const auto& domain : domains_) {
-    if (domain->runnable_count_ == 0) {
-      // Only *consecutive* delta activity counts toward the limit.
-      domain->deltas_at_current_date_ = 0;
-      continue;
-    }
-    domain->deltas_at_current_date_++;
-    if (domain->delta_limit_ != 0 &&
-        domain->deltas_at_current_date_ > domain->delta_limit_) {
-      raise_delta_livelock("domain '" + domain->name() + "' exceeded its "
-                           "delta-cycle limit (" +
-                           std::to_string(domain->delta_limit_) +
-                           ") at date " + now_.to_string() +
-                           "; livelocked subsystem?");
-    }
-  }
-}
-
 void Kernel::cancel_dynamic_wait(Process& p) {
   if (p.waiting_event_ != nullptr) {
     auto& waiters = p.waiting_event_->dynamic_waiters_;
@@ -2266,11 +2023,7 @@ void Kernel::cancel_dynamic_wait(Process& p) {
 }
 
 void Kernel::request_update(UpdateListener* listener) {
-  if (GroupTask* task = active_task()) {
-    task->update_requests.push_back(listener);
-  } else {
-    update_requests_.push_back(listener);
-  }
+  active_cascade().update_requests.push_back(listener);
 }
 
 void Kernel::kill_all_threads() {
@@ -2349,7 +2102,8 @@ void Kernel::enter_failed_state(std::exception_ptr cause) {
   report.domain = std::move(failing_domain_);
   failing_process_.clear();
   failing_domain_.clear();
-  report.at = now_;
+  report.at = failing_at_.value_or(now_);
+  failing_at_.reset();
   report.delta_cycles = stats_.delta_cycles;
   report.timed_waves = stats_.timed_waves;
   for (const auto& domain : domains_) {

@@ -20,6 +20,14 @@
 // on its worker without rendezvousing the others -- with the wave/delta
 // accounting reconstructed at the merge so results stay bit-identical.
 // Zero-latency links keep merging, i.e. fall back to the barrier.
+//
+// All three modes run one engine. The kernel and every group task own the
+// same buffer set (Cascade), and the sequential loop and a free-running
+// wave drive it through the same evaluate loop, delta step and timed-entry
+// firing. Barrier rounds and lookahead extensions share one group body
+// (run_group), one dispatch and one horizon merge; they differ only in how
+// far a group may run -- one evaluation phase, or whole timed waves up to
+// its lookahead window.
 #pragma once
 
 #include <atomic>
@@ -28,7 +36,6 @@
 #include <deque>
 #include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -308,9 +315,8 @@ class Kernel {
 
   /// Caps how many timed waves one group may execute inside a single
   /// free-running lookahead extension (bounds divergence windows and the
-  /// prepaid-accounting state). 0 disables free-running entirely --
-  /// every group then rendezvouses at every global horizon, as before
-  /// PR 6. Default 64.
+  /// prepaid-wave ledger). 0 disables free-running entirely -- every
+  /// group then rendezvouses at every global horizon. Default 64.
   void set_lookahead_limit(std::size_t max_waves) {
     lookahead_max_waves_ = max_waves;
     config_.lookahead_limit = max_waves;
@@ -511,7 +517,9 @@ class Kernel {
 
   struct TimedEntry {
     Time when;
-    std::uint64_t seq;
+    /// Order among same-date entries; a group task's buffered entries get
+    /// theirs at the merge.
+    std::uint64_t seq = 0;
     enum class Kind { EventFire, ProcessResume } kind;
     Event* event = nullptr;
     std::uint64_t event_generation = 0;
@@ -522,6 +530,31 @@ class Kernel {
       if (when != o.when) return when > o.when;
       return seq > o.seq;
     }
+    bool operator<(const TimedEntry& o) const { return o > *this; }
+  };
+
+  /// The buffers one evaluate -> update -> delta cascade drains. The
+  /// kernel owns one (cascade_, driven by run()) and so does every group
+  /// task; the evaluate loop and the delta step take either, and the
+  /// channel-facing calls (queue_delta_notification, request_update,
+  /// wait_delta) write to the calling thread's, found through its
+  /// ExecContext.
+  struct Cascade {
+    std::deque<Process*> runnable;
+    std::vector<std::pair<Event*, std::uint64_t>> delta_notifications;
+    std::vector<Process*> delta_resume;
+    std::vector<UpdateListener*> update_requests;
+    /// Each delta step drains one of the three buffers above by swapping
+    /// it with its retained spare, so neither ever frees its capacity and
+    /// the arena reserve_scheduler_arena() pre-sized survives the first
+    /// delta cycle. The spares grow once, on first use.
+    std::vector<std::pair<Event*, std::uint64_t>> delta_notifications_spare;
+    std::vector<Process*> delta_resume_spare;
+    std::vector<UpdateListener*> update_requests_spare;
+    /// Set by stop(); the evaluate loop breaks right after the dispatch
+    /// that requested it. A group's stop reaches the kernel's at the
+    /// horizon.
+    bool stop = false;
   };
 
   /// Per-OS-thread fiber dispatch state: the scheduler's saved stack
@@ -552,43 +585,33 @@ class Kernel {
     /// TSan fiber handle of the hosting OS thread (refreshed per group
     /// execution -- the same ExecContext may move between workers).
     void* tsan_fiber = nullptr;
+    /// The cascade this context's processes feed: the group task's inside
+    /// a parallel round, the kernel's otherwise.
+    Cascade* cascade = nullptr;
   };
 
-  /// One concurrency group's work and side-effect buffers for the current
-  /// parallel evaluation phase. Everything a group's processes do to
+  /// One concurrency group's work and side-effect buffers between two
+  /// synchronization horizons: one barrier round, or one free-running
+  /// lookahead extension. Everything a group's processes do to
   /// kernel-global structures lands here and is merged -- in group order,
-  /// hence deterministically -- at the next synchronization horizon.
-  struct GroupTask {
+  /// hence deterministically -- at the horizon. Cache-line aligned: the
+  /// tasks of one phase run on different workers.
+  struct alignas(64) GroupTask {
     Kernel* kernel = nullptr;
     /// Group representative (union-find root domain id) this phase.
     std::size_t group = 0;
-    /// The group's runnable processes, in kernel schedule order. Wakes of
-    /// same-group processes append here and run within the same round.
-    std::deque<Process*> queue;
+    /// The group's own cascade. Its runnable deque holds the group's
+    /// runnable processes in kernel schedule order; wakes of same-group
+    /// processes append there and run within the same round.
+    Cascade cascade;
     ExecContext exec;
     /// Wakes targeting processes of *other* groups (dynamic spawns,
     /// foreign-group event notifies); routed at the horizon.
     std::vector<Process*> cross_wakes;
-    std::vector<std::pair<Event*, std::uint64_t>> delta_notifications;
-    std::vector<Process*> delta_resume;
-    std::vector<UpdateListener*> update_requests;
-    /// The free-running cascade drains the three buffers above through
-    /// these retained spares, so a drained batch keeps its memory.
-    std::vector<std::pair<Event*, std::uint64_t>> delta_notifications_spare;
-    std::vector<Process*> delta_resume_spare;
-    std::vector<UpdateListener*> update_requests_spare;
-    struct TimedReq {
-      Time when;
-      TimedEntry::Kind kind;
-      Event* event;
-      std::uint64_t event_generation;
-      Process* process;
-      std::uint64_t process_generation;
-    };
     /// Timed-queue insertions; sequence numbers are assigned at the merge
     /// so per-group relative order (the only order that can matter --
     /// groups share no state) matches the sequential schedule.
-    std::vector<TimedReq> timed;
+    std::vector<TimedEntry> timed;
     /// Buffered timed_stale_count_ increments.
     std::size_t stale_notes = 0;
     /// Worker-local counter deltas (aggregate + per-domain), folded into
@@ -596,19 +619,21 @@ class Kernel {
     KernelStats stat_delta;
     /// Lazily built merged view for mid-round stats() calls.
     std::unique_ptr<KernelStats> stats_view;
-    bool stop = false;
     std::exception_ptr exception;
     /// Failure attribution riding alongside `exception`: the process whose
     /// dispatch raised it and that process's domain (empty when the raise
     /// was not attributable to a process). Copied into the kernel's
-    /// failure report when the horizon rethrows.
+    /// failure report when the horizon rethrows, together with local_now
+    /// when the task was free-running.
     std::string failed_process;
     std::string failed_domain;
 
     // --- conservative-lookahead free-running (run_lookahead_extension) ---
 
-    /// True while this task executes a free-running extension; its
-    /// processes then see local_now through Kernel::now().
+    /// True while this task executes a free-running extension: after its
+    /// runnable deque, run_group() then executes the private agenda wave
+    /// by wave, and the group's processes see local_now through
+    /// Kernel::now().
     bool free_running = false;
     /// The group's local date inside the extension.
     Time local_now;
@@ -628,13 +653,9 @@ class Kernel {
     std::size_t timed_scan_pos = 0;
     /// One record per executed local wave, in order: (date ps, number of
     /// delta iterations after the wave). Source of the merge-time prepaid
-    /// accounting that keeps delta_cycles / timed_waves bit-identical to
-    /// the sequential schedule.
+    /// accounting (book_prepaid_waves) that keeps delta_cycles /
+    /// timed_waves bit-identical to the sequential schedule.
     std::vector<std::pair<std::uint64_t, std::uint32_t>> wave_log;
-    /// The group's domains, filled per extension: the per-domain
-    /// delta-limit checks inside the extension walk only these (foreign
-    /// domains' counters must not be touched from this worker).
-    std::vector<SyncDomain*> member_domains;
   };
 
   /// create_domain minus the TDSIM_ADAPTIVE_QUANTUM default-policy hook
@@ -667,7 +688,6 @@ class Kernel {
   /// live ones (lazy deletion would otherwise grow the queue unboundedly
   /// under cancel/supersede-heavy workloads).
   void maybe_compact_timed_queue();
-  void check_domain_delta_limits();
   void timed_push(const TimedEntry& entry);
   void timed_pop();
   /// Re-heapifies timed_queue_ after an in-place filter.
@@ -677,6 +697,9 @@ class Kernel {
   void dispatch_thread(Process* p);
   void dispatch_method(Process* p);
   void make_runnable(Process* p);
+  /// Marks `p` runnable and appends it to `cascade`'s runnable deque
+  /// (no-op when it already is runnable or has terminated).
+  void enqueue_runnable(Process* p, Cascade& cascade);
   void trigger_event(Event& e);
   void yield_current_thread();
   /// wait(duration) for an already-validated thread process -- the
@@ -687,11 +710,48 @@ class Kernel {
   Process* require_method(const char* what) const;
   void schedule_event_fire(Event& e, Time at);
   void schedule_process_resume(Process& p, Time at);
+  /// Queues a timed entry in the kernel's timed queue, or buffers it in
+  /// the active group task (sequenced at the merge). Forced inline like
+  /// the cascade steps below.
+  __attribute__((always_inline)) inline void schedule_timed(
+      Time when, TimedEntry::Kind kind, Event* event,
+      std::uint64_t event_generation, Process* process,
+      std::uint64_t process_generation);
   void queue_delta_notification(Event& e);
   void cancel_dynamic_wait(Process& p);
   void kill_all_threads();
-  void run_update_phase();
-  void fire_delta_notifications();
+
+  // --- the cascade: one of each step, for run() and group tasks alike ---
+  //
+  // The steps that run once per delta cycle or timed entry are forced
+  // inline into both loops (run() and run_group()): a switch-bound
+  // sequential model spends about 100 ns per event in the kernel, and a
+  // call per step measurably slowed fifo_narrow.
+
+  /// The calling thread's cascade for this kernel: its group task's inside
+  /// a parallel round, the kernel's otherwise.
+  Cascade& active_cascade();
+  /// The evaluate loop: dispatches `cascade`'s runnable processes in
+  /// order until none is left or one of them requests a stop.
+  __attribute__((always_inline)) inline void evaluate(Cascade& cascade);
+  /// One delta step of `cascade`: update phase, chunk flush, then -- if
+  /// any delta notification or resume is pending -- the delta cycle with
+  /// its kernel-wide and per-domain livelock checks. Returns false when
+  /// nothing was pending (the cascade is drained). `task` is the
+  /// free-running group the cascade belongs to, or null for the kernel's.
+  __attribute__((always_inline)) inline bool delta_step(Cascade& cascade,
+                                                        GroupTask* task);
+  /// Fires one timed entry popped at its date (event trigger or process
+  /// resume). A stale entry is consumed instead and decrements
+  /// `stale_count`, the count its cancel was booked into.
+  __attribute__((always_inline)) inline void fire_timed_entry(
+      const TimedEntry& entry, std::size_t& stale_count);
+  /// Per-domain delta-livelock books over `task`'s domains (every domain
+  /// when null): each domain with runnable processes counts one more
+  /// consecutive delta activation and trips its limit; the others reset.
+  /// `wave_start` resets every counter first (a timed wave begins).
+  __attribute__((always_inline)) inline void check_domain_delta_limits(
+      const GroupTask* task, bool wave_start);
 
   // --- fiber-stack pool + scheduler arena (see kernel/stack_pool.h) ---
 
@@ -737,51 +797,77 @@ class Kernel {
   /// parallel round, the kernel aggregate otherwise.
   KernelStats& active_stats();
   bool parallel_enabled() const { return workers_ > 1; }
+  /// The barrier evaluation phase: partitions the runnable set by group
+  /// and runs rounds until no group has work, routing cross-group wakes
+  /// and re-partitioning after mid-round merges between rounds.
   void run_parallel_evaluation_phase();
-  void execute_group_task(GroupTask& task);
   /// The timed-phase lookahead driver: computes per-group conservative
   /// bounds, extracts eligible groups' timed entries and free-runs them
   /// in parallel to their windows, then merges. Returns true when any
   /// group advanced (the caller re-enters its loop without advancing the
   /// global date).
   bool run_lookahead_extension(Time until);
-  /// One group's free-running extension body (worker or stealing main
-  /// thread): local waves -> dispatch -> update -> delta cascades, over
-  /// the task's private agenda.
-  void free_run_group(GroupTask& task);
-  void fire_agenda_entry(GroupTask& task, TimedEntry& entry);
-  void run_local_cascade(GroupTask& task);
+  /// The one group body (worker or stealing driving thread): drains the
+  /// task's runnable deque -- a barrier round's work -- and, when the
+  /// task is free-running, then executes its agenda wave by wave, each
+  /// wave being the sequential loop's fire -> evaluate -> delta steps.
+  void run_group(GroupTask& task);
+  /// The one dispatch: runs `tasks` (in group order) through run_group on
+  /// the shared Scheduler -- inline when there is only one -- then
+  /// surfaces, in group order, the first exception with its attribution
+  /// and any stop. Returns that exception.
+  std::exception_ptr run_tasks(const std::vector<GroupTask*>& tasks);
+  /// The one horizon merge: flushes every phase task's buffered side
+  /// effects into the kernel in group order, compacts the timed queue,
+  /// publishes domain fronts, then rethrows `first_exception` if set.
+  void merge_group_tasks(std::exception_ptr first_exception);
+  /// Pays a free-running task's wave log into the kernel counters through
+  /// the prepaid-wave ledger (see prepaid_).
+  void book_prepaid_waves(GroupTask& task);
   /// Moves newly buffered timed requests that fall inside the task's
   /// window from task.timed into the sorted agenda.
   void absorb_local_timed(GroupTask& task);
-  /// Publishes every registered chunked channel's pending chunks; run()
-  /// calls it once per delta-cascade iteration, after the update phase
-  /// (see ChunkFlushListener). Returns true when anything was published.
-  bool flush_chunked_channels();
-  /// Per-group analog, called at the same per-iteration point of a
-  /// free-running extension's local cascade: flushes only channels of
-  /// `task`'s concurrency group (a foreign group's channel state belongs
-  /// to another worker), keeping each group's flush-induced deltas at the
-  /// chain depth the sequential schedule gives them.
-  bool flush_group_chunks(GroupTask& task);
+  /// Publishes the pending chunks of every registered chunked channel, or
+  /// only of `task`'s group's channels inside a free-running extension (a
+  /// foreign group's channel state belongs to another worker); the delta
+  /// step calls it once per iteration, after the update phase (see
+  /// ChunkFlushListener).
+  void flush_chunked_channels(const GroupTask* task);
   /// Slow path of now() while an extension is in flight.
   Time resolve_now() const;
   /// The one concurrency group all of `e`'s waiters belong to, or nullopt
   /// when the event has no waiters or waiters from several groups (its
   /// timed firings are then not attributable to any single group).
   std::optional<std::size_t> sole_waiter_group(const Event& e) const;
+  /// compute_lookahead_state()'s inputs and outputs, indexed by group
+  /// root. run_lookahead_extension() keeps one across calls
+  /// (lookahead_scratch_), so a steady-state extension does not allocate.
+  struct LookaheadScratch {
+    struct Edge {
+      std::size_t from;
+      std::size_t to;
+      std::uint64_t latency;
+    };
+    /// Earliest live timed entry (ps).
+    std::vector<std::uint64_t> earliest;
+    /// Exclusive free-run window: inbound-edge bound, relay-event clamps,
+    /// unattributable-entry choke.
+    std::vector<std::uint64_t> window;
+    /// window clipped to the run limit (run_lookahead_extension only).
+    std::vector<std::uint64_t> cap;
+    std::vector<std::uint64_t> clamp;
+    std::vector<std::uint64_t> reach;
+    std::vector<Edge> edges;
+  };
   /// The shared bound derivation behind lookahead_bound() and
-  /// run_lookahead_extension(): per group root, the earliest live timed
-  /// entry (ps) and the exclusive free-run window (inbound-edge bound,
-  /// relay-event clamps, unattributable-entry choke). UINT64_MAX =
-  /// none/unbounded.
-  void compute_lookahead_state(std::vector<std::uint64_t>& earliest,
-                               std::vector<std::uint64_t>& window) const;
-  /// Horizon-time make_runnable for wakes that crossed groups mid-round.
-  void apply_cross_wake(Process* p);
-  /// Merges one group's buffered side effects into the kernel structures;
-  /// called at the horizon in group order.
-  void flush_group_task(GroupTask& task);
+  /// run_lookahead_extension(): fills `s.earliest` and `s.window` per
+  /// group root. UINT64_MAX = none/unbounded.
+  void compute_lookahead_state(LookaheadScratch& s) const;
+  /// Moves the kernel's runnable processes into their groups' tasks, in
+  /// order.
+  void partition_runnable();
+  /// Sorts phase_tasks_ by group root (the deterministic "group order").
+  void sort_phase_tasks();
   GroupTask& task_for_group(std::size_t group_root);
   /// Union-find over domain ids; readers are lock-free (workers resolve
   /// groups on every wake), writers serialize on group_mutex_.
@@ -815,7 +901,6 @@ class Kernel {
   /// the next run()'s first evaluation phase must stay sequential, exactly
   /// like the initialization wave.
   bool graft_init_pending_ = false;
-  bool stop_requested_ = false;
   /// True once any domain ever armed a per-domain delta-cycle limit; the
   /// scheduler skips the per-domain delta bookkeeping while false.
   bool domain_delta_limits_enabled_ = false;
@@ -833,7 +918,7 @@ class Kernel {
   FailureReport failure_report_;
   /// Sequential-mode failure attribution (parallel mode buffers it in
   /// GroupTask::failed_process/failed_domain); consumed by
-  /// enter_failed_state.
+  /// enter_failed_state, together with failing_at_.
   std::string failing_process_;
   std::string failing_domain_;
   /// Wall-clock watchdog: armed per run() call (RunOptions override >
@@ -853,17 +938,9 @@ class Kernel {
   std::atomic<std::size_t> faults_pending_{0};
 
   std::vector<std::unique_ptr<Process>> processes_;
-  std::deque<Process*> runnable_;
-  std::vector<std::pair<Event*, std::uint64_t>> delta_notifications_;
-  std::vector<Process*> delta_resume_;
-  std::vector<UpdateListener*> update_requests_;
-  /// Each cascade step drains one of the three buffers above by swapping
-  /// it with its retained spare, so neither ever frees its capacity and
-  /// the arena reserve_scheduler_arena() pre-sized survives the first
-  /// delta cycle. The spares grow once, on first use.
-  std::vector<std::pair<Event*, std::uint64_t>> delta_notifications_spare_;
-  std::vector<Process*> delta_resume_spare_;
-  std::vector<UpdateListener*> update_requests_spare_;
+  /// The kernel's own cascade: run()'s evaluate loop and delta step drain
+  /// it, and the horizon merge feeds the group tasks' buffers into it.
+  Cascade cascade_;
   /// The timed notification queue: a (when, seq) min-heap maintained with
   /// std::push_heap/pop_heap over a plain vector, so the stale-entry
   /// compaction and the ~Event purge can filter the storage in place and
@@ -885,7 +962,7 @@ class Kernel {
   __attribute__((noinline)) static GroupTask* thread_task();
 
   /// The ExecContext the calling OS thread dispatches fibers through; set
-  /// by run() (main_exec_) and by each group execution (GroupTask::exec).
+  /// by run() (main_exec_) and by run_group() (GroupTask::exec).
   /// Written only from scheduler stacks (never from a fiber).
   static thread_local ExecContext* t_exec_;
   /// The GroupTask the calling OS thread is running, if any.
@@ -955,18 +1032,8 @@ class Kernel {
   bool free_run_live_ = false;
   /// See set_lookahead_limit().
   std::size_t lookahead_max_waves_ = 64;
-  /// The prepaid-wave ledger: for each future date some group free-ran
-  /// through, the per-same-date-wave delta-iteration counts already paid
-  /// into stats_ at the merge (elementwise max over groups). The global
-  /// timed phase consumes it -- skipping the increments the extension
-  /// prepaid -- so totals stay bit-identical to the sequential schedule.
-  struct PrepaidDate {
-    std::vector<std::uint32_t> wave_deltas;
-    std::size_t consumed = 0;
-  };
-  std::map<std::uint64_t, PrepaidDate> prepaid_waves_;
   /// Delta-cycle increments of the current global wave still covered by
-  /// the prepaid ledger.
+  /// the prepaid ledger (prepaid_).
   std::uint32_t prepaid_skip_deltas_ = 0;
   /// Furthest date any lookahead extension has executed; when the timed
   /// queue drains, now_ advances here so the final date matches the
@@ -1022,6 +1089,33 @@ class Kernel {
   /// point. Mutations from running processes are part of the
   /// deterministic schedule and never mark.
   void note_external_elaboration();
+
+  // --- cold per-phase state, kept behind the hot scheduler state ---
+
+  /// The failing group's local date when a failure came out of a
+  /// free-running extension (the report otherwise shows now_).
+  std::optional<Time> failing_at_;
+  /// The tasks with work in the current barrier round (retained scratch).
+  std::vector<GroupTask*> round_tasks_;
+  /// The prepaid-wave ledger: one row per timed wave some group free-ran
+  /// through that the global loop has not reached yet, sorted by date and,
+  /// within a date, by same-date wave index. A row holds the wave's
+  /// delta-iteration count already paid into stats_ at the merge
+  /// (elementwise max over groups). The global timed phase consumes it --
+  /// skipping the increments the extension prepaid -- so totals stay
+  /// bit-identical to the sequential schedule. Rows before prepaid_head_
+  /// are consumed (or passed) and dropped at the next booking; the vector
+  /// keeps its capacity.
+  struct PrepaidWave {
+    std::uint64_t date_ps;
+    std::uint32_t deltas;
+  };
+  std::vector<PrepaidWave> prepaid_;
+  std::size_t prepaid_head_ = 0;
+  /// run_lookahead_extension()'s retained scratch: the bound derivation's
+  /// vectors, and the locally-born agenda leftovers of one task.
+  LookaheadScratch lookahead_scratch_;
+  std::vector<TimedEntry> leftover_local_;
 };
 
 /// Free-function conveniences mirroring SystemC's global wait()/time API.

@@ -35,10 +35,10 @@
 // results to their solo runs (tests/test_scheduler.cpp enforces it, and
 // bench_fleet's in-bench assertion rides on it).
 //
-// Tasks must not throw. Kernels uphold this by construction: both group
-// execution paths (Kernel::execute_group_task and Kernel::free_run_group)
-// wrap their entire body in a catch-all that captures into
-// GroupTask::exception, and both horizon merges drain every task's
+// Tasks must not throw. Kernels uphold this by construction: the one
+// group body (Kernel::run_group, for barrier rounds and lookahead
+// extensions alike) wraps its entire body in a catch-all that captures
+// into GroupTask::exception, and the horizon merge drains every task's
 // buffers before rethrowing the first captured exception on the driving
 // thread -- where it transitions that kernel (and only that kernel) to
 // Health::Failed (see kernel/failure.h). A throwing task would otherwise

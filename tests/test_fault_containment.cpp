@@ -539,6 +539,123 @@ TEST(FaultContainment, ThrowFromFreeRunningGroupSurfacesOnDrivingThread) {
   EXPECT_EQ(k.failure()->domain, "frp1");
 }
 
+// ---------------------------------------------------------------------------
+// A failure inside a free-running lookahead extension looks exactly like
+// the sequential one: the per-domain delta limit counts the timed wave
+// itself, and the report carries the failing group's local date.
+// ---------------------------------------------------------------------------
+
+/// The execution modes a failure must not tell apart: sequential, barrier
+/// rounds only, and free-running extensions at two worker counts.
+std::vector<std::pair<std::string, KernelConfig>> failure_modes() {
+  return {{"workers 0", KernelConfig{.workers = 0}},
+          {"workers 2, barrier", KernelConfig{.workers = 2,
+                                              .lookahead_limit = 0}},
+          {"workers 2", KernelConfig{.workers = 2}},
+          {"workers 4", KernelConfig{.workers = 4}}};
+}
+
+struct FailureOutcome {
+  std::string message;
+  FailureReport report;
+  int spins = 0;
+};
+
+/// A `spinner` livelocking on wait_delta() from 100 ns in a domain with a
+/// delta-cycle limit of 5 (spawned first, so it is the lagging domain on
+/// ties), beside unlinked ticker domains that keep lookahead extensions
+/// eligible. With `spin` false only the tickers run; arm a plan on them.
+FailureOutcome run_to_failure(const KernelConfig& config, bool spin,
+                              const char* plan) {
+  Kernel k(config);
+  FailureOutcome out;
+  if (spin) {
+    SyncDomain& spin_domain = k.create_domain(
+        {.name = "spin", .concurrent = true, .delta_cycle_limit = 5});
+    k.spawn_thread("spinner", [&k, &out] {
+      k.wait(100_ns);
+      for (;;) {
+        out.spins++;
+        k.wait_delta();
+      }
+    }, {.domain = &spin_domain});
+  }
+  const std::pair<const char*, Time> tickers[] = {{"ticker_a", 7_ns},
+                                                  {"ticker_b", 11_ns}};
+  for (const auto& [name, period] : tickers) {
+    SyncDomain& domain = k.create_domain(
+        {.name = std::string("tick_") + name, .concurrent = true});
+    k.spawn_thread(name, [&k, period] {
+      for (int i = 0; i < 200; ++i) {
+        k.wait(period);
+      }
+    }, {.domain = &domain});
+  }
+  if (plan != nullptr) {
+    k.arm_faults(FaultPlan::parse(plan));
+  }
+  try {
+    k.run();
+  } catch (const SimulationError& e) {
+    out.message = e.what();
+  }
+  EXPECT_EQ(k.health(), Health::Failed);
+  if (k.failure() != nullptr) {
+    out.report = *k.failure();
+  }
+  return out;
+}
+
+void expect_same_failure(const FailureOutcome& a, const FailureOutcome& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.message, b.message) << what;
+  EXPECT_EQ(a.spins, b.spins) << what;
+  EXPECT_EQ(a.report.kind, b.report.kind) << what;
+  EXPECT_EQ(a.report.at, b.report.at) << what;
+  EXPECT_EQ(a.report.process, b.report.process) << what;
+  EXPECT_EQ(a.report.domain, b.report.domain) << what;
+}
+
+TEST(FaultContainment, DomainDeltaLimitTripsAtTheSameActivationInEveryMode) {
+  QuietReports quiet;
+  const auto modes = failure_modes();
+  const FailureOutcome reference =
+      run_to_failure(modes.front().second, /*spin=*/true, nullptr);
+  // The 100 ns wave counts as the first consecutive activation, so the
+  // limit of 5 trips before the spinner's sixth pass.
+  EXPECT_EQ(reference.spins, 5);
+  EXPECT_EQ(reference.report.kind, FailureKind::DeltaLivelock);
+  EXPECT_EQ(reference.report.at, 100_ns);
+  EXPECT_EQ(reference.report.domain, "spin");
+  EXPECT_NE(reference.message.find("domain 'spin' exceeded its delta-cycle "
+                                   "limit (5) at date 100 ns"),
+            std::string::npos)
+      << reference.message;
+  for (std::size_t i = 1; i < modes.size(); ++i) {
+    expect_same_failure(
+        run_to_failure(modes[i].second, /*spin=*/true, nullptr), reference,
+        modes[i].first);
+  }
+}
+
+TEST(FaultContainment, FreeRunningFailureReportsTheGroupsLocalDate) {
+  QuietReports quiet;
+  const auto modes = failure_modes();
+  const FailureOutcome reference =
+      run_to_failure(modes.front().second, /*spin=*/false, "throw:ticker_b@30");
+  // ticker_b's 30th activation resumes it at 29 * 11 ns, long after the
+  // extension it runs in started at 0 s.
+  EXPECT_EQ(reference.report.kind, FailureKind::Injected);
+  EXPECT_EQ(reference.report.at, 319_ns);
+  EXPECT_EQ(reference.report.process, "ticker_b");
+  EXPECT_EQ(reference.report.domain, "tick_ticker_b");
+  for (std::size_t i = 1; i < modes.size(); ++i) {
+    expect_same_failure(
+        run_to_failure(modes[i].second, /*spin=*/false, "throw:ticker_b@30"),
+        reference, modes[i].first);
+  }
+}
+
 TEST(FaultContainment, OnlyParallelFaultSkipsSequentialRuns) {
   QuietReports quiet;
   // The exact fault that models a scheduling-dependent bug: fires with

@@ -2,8 +2,9 @@
 // overload, SmartFifo::declare_cell_latency): zero-latency links degrade
 // to the barrier path, mid-run latency redeclaration re-tightens the
 // derived bound, free-running groups stay bit-exact with the sequential
-// schedule, set_lookahead_limit(0) disables free-running, explain_group
-// shows link latencies, and the per-domain quantum decision-trace ring.
+// schedule, events destroyed mid-extension leave no entry behind,
+// set_lookahead_limit(0) disables free-running, explain_group shows link
+// latencies, and the per-domain quantum decision-trace ring.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/smart_fifo.h"
+#include "kernel/event.h"
 #include "kernel/kernel.h"
 #include "kernel/quantum_controller.h"
 #include "kernel/sync_domain.h"
@@ -121,6 +123,62 @@ TEST(Lookahead, IndependentGroupsFreeRunBitExact) {
     // ahead of the global horizon, not just fallen back to the barrier.
     EXPECT_GT(parallel.lookahead_advances, 0u)
         << "workers=" << workers;
+  }
+}
+
+TEST(Lookahead, EventsDestroyedInsideAnExtensionLeaveNoEntryBehind) {
+  // Two events die while their group free-runs beside an unlinked ticker:
+  // `early`, whose 50 ns entry the extension extracted into the group's
+  // agenda (its static waiter makes it the group's), and `late`, notified
+  // and destroyed within one wave, so its entry is still in the group's
+  // timed buffer. Neither may fire or dangle (ASan), and every date matches
+  // the sequential run.
+  const auto run = [](std::size_t workers) {
+    Kernel k(KernelConfig{.workers = workers});
+    SyncDomain& owner = k.create_domain({.name = "owner", .concurrent = true});
+    SyncDomain& ticker =
+        k.create_domain({.name = "ticker", .concurrent = true});
+    auto early = std::make_unique<Event>(k, "early");
+    int fired = 0;
+    // One date list per group: the two run concurrently.
+    std::vector<Time> owner_dates;
+    std::vector<Time> ticker_dates;
+    MethodOptions watch;
+    watch.sensitivity.push_back(early.get());
+    watch.dont_initialize = true;
+    watch.domain = &owner;
+    k.spawn_method("watcher", [&fired] { ++fired; }, watch);
+    k.spawn_thread("destroyer", [&] {
+      early->notify(50_ns);
+      k.wait(10_ns);
+      early.reset();
+      {
+        Event late(k, "late");
+        late.notify(7_ns);
+      }
+      k.wait(100_ns);
+      owner_dates.push_back(k.now());
+    }, {.domain = &owner});
+    k.spawn_thread("ticker", [&] {
+      for (int i = 0; i < 30; ++i) {
+        k.wait(3_ns);
+        ticker_dates.push_back(k.now());
+      }
+    }, {.domain = &ticker});
+    k.run();
+    EXPECT_EQ(fired, 0) << "workers=" << workers;
+    owner_dates.insert(owner_dates.end(), ticker_dates.begin(),
+                       ticker_dates.end());
+    owner_dates.push_back(k.now());
+    return std::make_pair(owner_dates, k.stats().lookahead_advances);
+  };
+  const auto [sequential, no_advances] = run(0);
+  ASSERT_EQ(sequential.size(), 32u);
+  EXPECT_EQ(sequential.front(), 110_ns);
+  for (std::size_t workers : {2u, 4u}) {
+    const auto [parallel, advances] = run(workers);
+    EXPECT_EQ(parallel, sequential) << "workers=" << workers;
+    EXPECT_GT(advances, 0u) << "workers=" << workers;
   }
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/smart_fifo.h"
+#include "core/start_gate.h"
 #include "kernel/event.h"
 #include "kernel/kernel.h"
 #include "kernel/report.h"
@@ -283,6 +284,68 @@ TEST(Parallel, ChannelLinksDiscoveredMidRunSerializeFromThenOn) {
   const Observed sequential = run(0);
   const Observed parallel = run(2);
   expect_observed_equal(sequential, parallel, "late link");
+}
+
+TEST(Parallel, BarrierCrossWakeRunsInASecondRoundOfTheSameDelta) {
+  // A StartGate whose worker waits from 0 ns and whose commander, in
+  // another concurrent domain, first posts in the 100 ns wave: the post is
+  // the gate's first contact, so it merges the two groups mid-round and
+  // wakes the worker across the old group boundary. Barrier rounds only
+  // (lookahead off): the wake waits for the horizon, runs in a second
+  // round of the same evaluation phase after a re-partition, and every
+  // date and count matches the sequential schedule.
+  const auto run = [](std::size_t workers) {
+    Kernel k(KernelConfig{.workers = workers, .lookahead_limit = 0});
+    SyncDomain& worker_domain = k.create_domain(
+        {.name = "gate_worker", .quantum = 50_ns, .concurrent = true});
+    SyncDomain& commander_domain = k.create_domain(
+        {.name = "gate_commander", .quantum = 50_ns, .concurrent = true});
+    SyncDomain& bystander_domain = k.create_domain(
+        {.name = "bystander", .quantum = 50_ns, .concurrent = true});
+    StartGate<int> gate(k, "gate");
+    Observed out;
+    std::vector<Time> bystander_dates;
+    k.spawn_thread("gate_worker", [&] {
+      for (int i = 0; i < 3; ++i) {
+        const int command = gate.await();
+        out.dates.push_back(k.current_domain().local_time_stamp());
+        out.dates.push_back(k.now());
+        k.current_domain().inc(Time::from_ps(1000 * (command + 1)));
+      }
+    }, {.domain = &worker_domain});
+    k.spawn_thread("gate_commander", [&] {
+      for (int i = 0; i < 3; ++i) {
+        k.wait(100_ns);
+        k.current_domain().inc(7_ns);
+        gate.post(i);
+      }
+    }, {.domain = &commander_domain});
+    k.spawn_thread("bystander", [&] {
+      for (int i = 0; i < 40; ++i) {
+        k.wait(10_ns);
+        bystander_dates.push_back(k.now());
+      }
+    }, {.domain = &bystander_domain});
+    k.run();
+    out.capture(k);
+    out.dates.insert(out.dates.end(), bystander_dates.begin(),
+                     bystander_dates.end());
+    EXPECT_EQ(k.domain_group(worker_domain),
+              k.domain_group(commander_domain));
+    return std::make_pair(out, k.stats().parallel_rounds);
+  };
+  const auto [sequential, sequential_rounds] = run(0);
+  EXPECT_EQ(sequential_rounds, 0u);
+  ASSERT_EQ(sequential.dates.size(), 46u);
+  EXPECT_EQ(sequential.dates[0], 107_ns);
+  EXPECT_EQ(sequential.dates[1], 100_ns);
+  for (std::size_t workers : {2u, 4u}) {
+    const auto [parallel, rounds] = run(workers);
+    const std::string what = "workers " + std::to_string(workers);
+    expect_observed_equal(sequential, parallel, what);
+    // One round per evaluation phase, plus the cross wake's second round.
+    EXPECT_EQ(rounds, 43u) << what;
+  }
 }
 
 TEST(Parallel, RepeatedRunReentryMatchesSequential) {
