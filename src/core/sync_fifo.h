@@ -40,15 +40,6 @@ class SyncFifo final : public FifoInterface<T> {
     set_chunk_capacity(kernel_.default_chunk_capacity());
   }
 
-  /// Sync-cause hint for the adaptive quantum controller: the per-access
-  /// syncs of this reference FIFO are attributed to `cause` (default
-  /// SyncCause::Explicit, the historical attribution -- both are
-  /// accuracy_relevant()). A model that treats a SyncFifo as a
-  /// date-accurate hand-off point can reclassify it as
-  /// SyncCause::SyncPoint to make the controller's decision trace name
-  /// the pressure precisely.
-  void set_data_sync_cause(SyncCause cause) { data_sync_cause_ = cause; }
-
   /// Declares the FIFO's minimum modeling latency on both links (the
   /// probes' own and the underlying FIFO's) -- see Fifo::declare_min_latency.
   void declare_min_latency(Time latency) {
@@ -69,14 +60,14 @@ class SyncFifo final : public FifoInterface<T> {
   bool is_full() override {
     SyncDomain& domain = kernel_.current_domain();
     domain_link_.touch(domain);
-    domain.sync(data_sync_cause_);
+    domain.sync(SyncCause::Explicit);
     return fifo_.full();
   }
 
   bool is_empty() override {
     SyncDomain& domain = kernel_.current_domain();
     domain_link_.touch(domain);
-    domain.sync(data_sync_cause_);
+    domain.sync(SyncCause::Explicit);
     return fifo_.empty();
   }
 
@@ -117,7 +108,7 @@ class SyncFifo final : public FifoInterface<T> {
   void sync_data_access(std::size_t& phase) {
     SyncDomain& domain = kernel_.current_domain();
     if (phase == 0) {
-      domain.sync(data_sync_cause_);
+      domain.sync(SyncCause::Explicit);
     } else {
       domain.sync_unbooked();
     }
@@ -130,8 +121,6 @@ class SyncFifo final : public FifoInterface<T> {
   /// The full()/empty() probes bypass Fifo's own link; track them here.
   DomainLink domain_link_;
   Fifo<T> fifo_;
-  /// See set_data_sync_cause().
-  SyncCause data_sync_cause_ = SyncCause::Explicit;
   /// Sync-book threshold, >= 1 (1 = book every data access).
   std::size_t chunk_capacity_ = 1;
   /// Position of the next write / read within its chunk.

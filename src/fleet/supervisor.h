@@ -3,8 +3,8 @@
 // cannot take the fleet down and scheduling-dependent bugs are separated
 // from model bugs.
 //
-// The Supervisor owns the control loop bench_fleet (and any fleet driver)
-// previously open-coded:
+// The Supervisor owns the control loop a fleet driver would otherwise
+// open-code:
 //
 //   1. Fork a batch of scenarios from one warm Snapshot, arm each
 //      scenario's FaultPlan (chaos overlay, usually empty).
@@ -26,6 +26,10 @@
 //
 // Retried kernels carry KernelStats::retries = 1 (Kernel::note_retry), so
 // fleet-wide stat sums separate first-try completions from retried ones.
+//
+// tests/test_fault_containment.cpp holds the classification and every
+// survivor's bit-identity with a cold run; the benchmark suite's
+// fleet_fork workload drives the Supervisor over thousands of forks.
 #pragma once
 
 #include <cstdint>

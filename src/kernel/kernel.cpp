@@ -641,8 +641,9 @@ void Kernel::acquire_fiber_stack(Process& p) {
   stats.stack_acquires++;
   if (!pooled_stacks_) {
     // Legacy mode (TDSIM_STACK_POOL=0): the pre-pool value-initializing
-    // heap allocation -- zeroes the whole stack at spawn. Kept as the
-    // comparison baseline for bench_scale's alloc-mode rows.
+    // heap allocation -- zeroes the whole stack at spawn. No gate measures
+    // it any more; it stays only because the benchmark suite's explicit
+    // KernelConfig still names pooled_stacks, and goes with that field.
     p.heap_stack_ = std::make_unique<char[]>(p.stack_size_);
     return;
   }
@@ -861,6 +862,9 @@ void Kernel::purge_timed_event_entries(Event& e) {
   if (e.queued_timed_entries_ == 0) {
     return;
   }
+  const auto refers_to_e = [&e](const TimedEntry& entry) {
+    return entry.kind == TimedEntry::Kind::EventFire && entry.event == &e;
+  };
   // Drops the entries of `entries` from `from` on that refer to `e`, in
   // place (no allocation). Superseded entries were counted stale in
   // `stale_count`; the live one was not.
@@ -869,7 +873,7 @@ void Kernel::purge_timed_event_entries(Event& e) {
     const auto keep_end = std::remove_if(
         entries.begin() + static_cast<std::ptrdiff_t>(from), entries.end(),
         [&](const TimedEntry& entry) {
-          if (entry.kind != TimedEntry::Kind::EventFire || entry.event != &e) {
+          if (!refers_to_e(entry)) {
             return false;
           }
           if (is_stale(entry) && stale_count > 0) {
@@ -881,15 +885,23 @@ void Kernel::purge_timed_event_entries(Event& e) {
     entries.erase(keep_end, entries.end());
   };
   if (GroupTask* task = active_task()) {
-    // Entries buffered this round live in the group's own timed buffer
-    // (the event is group-private, so they cannot be in another group's).
-    drop(task->timed, 0, task->stale_notes);
     if (task->free_running) {
+      // The scanned prefix of the timed buffer shrinks by the entries
+      // dropped from it; absorb_local_timed() would otherwise skip the
+      // next unscanned request.
+      task->timed_scan_pos -= static_cast<std::size_t>(std::count_if(
+          task->timed.begin(),
+          task->timed.begin() +
+              static_cast<std::ptrdiff_t>(task->timed_scan_pos),
+          refers_to_e));
       // Extracted (or absorbed) entries living in the extension's private
       // agenda also count as queued; drop the unexecuted ones now so the
       // wave loop never dereferences the destroyed event.
       drop(task->agenda, task->agenda_pos, task->stale_notes);
     }
+    // Entries buffered this round live in the group's own timed buffer
+    // (the event is group-private, so they cannot be in another group's).
+    drop(task->timed, 0, task->stale_notes);
     if (e.queued_timed_entries_ == 0) {
       return;
     }
@@ -1283,6 +1295,7 @@ void Kernel::merge_group_tasks(std::exception_ptr first_exception) {
       timed_push(entry);
     }
     task->timed.clear();
+    task->timed_scan_pos = 0;
     timed_stale_count_ += task->stale_notes;
     task->stale_notes = 0;
     accumulate(stats_, task->stat_delta);
@@ -1554,7 +1567,6 @@ bool Kernel::run_lookahead_extension(Time until) {
     task->local_now = now_;
     task->window_cap = Time::from_ps(s.cap[task->group]);
     task->local_seq = 0;
-    task->timed_scan_pos = 0;
   }
   stats_.parallel_rounds++;
   free_run_live_ = true;

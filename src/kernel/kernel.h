@@ -649,7 +649,8 @@ class Kernel {
     /// sort after every extracted entry of the same date, exactly where
     /// the sequential scheduler would have queued them.
     std::uint64_t local_seq = 0;
-    /// Prefix of `timed` already examined by absorb_local_timed().
+    /// Prefix of `timed` already examined by absorb_local_timed(); 0
+    /// outside extensions (the merge resets it with `timed`).
     std::size_t timed_scan_pos = 0;
     /// One record per executed local wave, in order: (date ps, number of
     /// delta iterations after the wave). Source of the merge-time prepaid
@@ -905,9 +906,8 @@ class Kernel {
   /// scheduler skips the per-domain delta bookkeeping while false.
   bool domain_delta_limits_enabled_ = false;
   /// Resolved KernelConfig::pooled_stacks / stack_guard (see
-  /// kernel/stack_pool.h). Fixed at construction; every fiber stack of
-  /// this kernel uses the same mode so bench_scale's alloc-mode rows
-  /// compare whole builds, not mixed pools.
+  /// kernel/stack_pool.h). Fixed at construction: every fiber stack of
+  /// this kernel comes from the same allocator.
   bool pooled_stacks_ = true;
   bool stack_guard_ = true;
 

@@ -33,8 +33,9 @@
 //       (value-initialized make_unique<char[]>); anything else (and
 //       unset) uses the pooled mmap allocator (kernel/stack_pool.h).
 //       Execution-only: simulation results are identical in both modes
-//       (bench_scale asserts this); the legacy mode exists as the
-//       alloc-mode comparison baseline.
+//       (tests/test_scale.cpp asserts this). The legacy mode is no
+//       longer a measured baseline; it stays only because the benchmark
+//       suite's explicit KernelConfig still sets this field.
 //   TDSIM_STACK_GUARD       -> KernelConfig::stack_guard
 //       "0" disables the PROT_NONE guard page below each pooled fiber
 //       stack; default on. Ignored in legacy heap mode (there is

@@ -142,8 +142,8 @@ class Process {
   std::size_t stack_size_ = 0;
   /// Pooled stack block (KernelConfig::pooled_stacks, the default).
   StackBlock stack_block_;
-  /// Legacy per-process heap stack (TDSIM_STACK_POOL=0): kept as the
-  /// comparison baseline for bench_scale's alloc-mode rows.
+  /// Legacy per-process heap stack (TDSIM_STACK_POOL=0); see
+  /// Kernel::acquire_fiber_stack for why it remains.
   std::unique_ptr<char[]> heap_stack_;
   /// Saved stack pointer while this fiber is switched away from (see
   /// kernel/fiber_switch.h).

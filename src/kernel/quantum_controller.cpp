@@ -10,6 +10,16 @@ namespace tdsim {
 
 namespace {
 
+/// Shrink when accuracy-relevant causes reach this percentage of the
+/// window's performed syncs.
+constexpr unsigned kShrinkSharePct = 50;
+/// Exponential step schedule: the k-th consecutive applied step in one
+/// direction scales the quantum by 2^min(k, kMaxStepExp).
+constexpr unsigned kMaxStepExp = 3;
+/// Front-lag threshold of the balancing signal, as a multiple of the
+/// domain's current quantum: a spread below this is noise.
+constexpr unsigned kBalanceLagQuanta = 4;
+
 void validate_policy(const SyncDomain& domain, const QuantumPolicy& policy) {
   if (policy.min_quantum.is_zero()) {
     Report::error("QuantumPolicy for domain '" + domain.name() +
@@ -20,15 +30,14 @@ void validate_policy(const SyncDomain& domain, const QuantumPolicy& policy) {
     Report::error("QuantumPolicy for domain '" + domain.name() +
                   "': min_quantum exceeds max_quantum");
   }
-  if (policy.min_syncs_per_decision == 0 || policy.confirm_decisions == 0 ||
-      policy.max_step_exp == 0) {
+  if (policy.min_syncs_per_decision == 0 || policy.confirm_decisions == 0) {
     Report::error("QuantumPolicy for domain '" + domain.name() +
-                  "': min_syncs_per_decision, confirm_decisions and "
-                  "max_step_exp must all be >= 1");
+                  "': min_syncs_per_decision and confirm_decisions must "
+                  "both be >= 1");
   }
-  if (policy.shrink_share_pct > 100 || policy.grow_share_pct > 100) {
+  if (policy.grow_share_pct > 100) {
     Report::error("QuantumPolicy for domain '" + domain.name() +
-                  "': share thresholds are percentages (0..100)");
+                  "': grow_share_pct is a percentage (0..100)");
   }
 }
 
@@ -114,7 +123,6 @@ void QuantumController::on_horizon(KernelStats& stats, Time now) {
   // ripe and the horizon costs nothing further.
   const auto& domains = kernel_.domains();
   bool any_ripe = false;
-  bool want_fronts = false;
   for (std::size_t id = 0; id < states_.size(); ++id) {
     DomainState& state = states_[id];
     if (!state.active) {
@@ -145,10 +153,7 @@ void QuantumController::on_horizon(KernelStats& stats, Time now) {
       total += domain_stats[id].syncs_by_cause[i] - state.snapshot[i];
     }
     state.window_ripe = total >= state.policy.min_syncs_per_decision;
-    if (state.window_ripe) {
-      any_ripe = true;
-      want_fronts = want_fronts || state.policy.balance_groups;
-    }
+    any_ripe = any_ripe || state.window_ripe;
   }
   if (!any_ripe) {
     return;
@@ -163,34 +168,32 @@ void QuantumController::on_horizon(KernelStats& stats, Time now) {
   // parallel mode being on. Exact front reads are safe here: no round is
   // in flight.
   BalanceSignal balance;
-  if (want_fronts) {
-    group_roots_scratch_.clear();
-    group_fronts_scratch_.clear();
-    for (const auto& domain : domains) {
-      const std::optional<Time> front = domain->execution_front();
-      if (!front.has_value()) {
-        continue;
-      }
-      const std::size_t root = kernel_.domain_group(*domain);
-      const auto it = std::find(group_roots_scratch_.begin(),
-                                group_roots_scratch_.end(), root);
-      if (it == group_roots_scratch_.end()) {
-        group_roots_scratch_.push_back(root);
-        group_fronts_scratch_.push_back(*front);
-      } else {
-        Time& group_front =
-            group_fronts_scratch_[it - group_roots_scratch_.begin()];
-        group_front = std::min(group_front, *front);
-      }
+  group_roots_scratch_.clear();
+  group_fronts_scratch_.clear();
+  for (const auto& domain : domains) {
+    const std::optional<Time> front = domain->execution_front();
+    if (!front.has_value()) {
+      continue;
     }
-    if (group_roots_scratch_.size() >= 2) {
-      balance.valid = true;
-      balance.min_group_front = group_fronts_scratch_.front();
-      balance.max_group_front = group_fronts_scratch_.front();
-      for (Time front : group_fronts_scratch_) {
-        balance.min_group_front = std::min(balance.min_group_front, front);
-        balance.max_group_front = std::max(balance.max_group_front, front);
-      }
+    const std::size_t root = kernel_.domain_group(*domain);
+    const auto it = std::find(group_roots_scratch_.begin(),
+                              group_roots_scratch_.end(), root);
+    if (it == group_roots_scratch_.end()) {
+      group_roots_scratch_.push_back(root);
+      group_fronts_scratch_.push_back(*front);
+    } else {
+      Time& group_front =
+          group_fronts_scratch_[it - group_roots_scratch_.begin()];
+      group_front = std::min(group_front, *front);
+    }
+  }
+  if (group_roots_scratch_.size() >= 2) {
+    balance.valid = true;
+    balance.min_group_front = group_fronts_scratch_.front();
+    balance.max_group_front = group_fronts_scratch_.front();
+    for (Time front : group_fronts_scratch_) {
+      balance.min_group_front = std::min(balance.min_group_front, front);
+      balance.max_group_front = std::max(balance.max_group_front, front);
     }
   }
   for (std::size_t id = 0; id < states_.size(); ++id) {
@@ -230,20 +233,20 @@ void QuantumController::decide(SyncDomain& domain, DomainState& state,
   // Primary signal: per-cause shares (integer percent math only).
   QuantumDirection desired = QuantumDirection::Hold;
   const char* reason = "steady";
-  if (accuracy * 100 >= total * policy.shrink_share_pct) {
+  if (accuracy * 100 >= total * kShrinkSharePct) {
     desired = QuantumDirection::Shrink;
     reason = "accuracy-relevant syncs";
   } else if (churn * 100 >= total * policy.grow_share_pct) {
     desired = QuantumDirection::Grow;
     reason = "quantum churn";
-  } else if (policy.balance_groups && balance.valid) {
+  } else if (balance.valid) {
     // Secondary signal: front-lag balancing between live groups. Look up
     // this domain's group front from the horizon scratch.
     const std::size_t root = kernel_.domain_group(domain);
     const auto it = std::find(group_roots_scratch_.begin(),
                               group_roots_scratch_.end(), root);
     const std::optional<Time> front = domain.execution_front();
-    const Time threshold = domain.quantum() * policy.balance_lag_quanta;
+    const Time threshold = domain.quantum() * kBalanceLagQuanta;
     if (it != group_roots_scratch_.end() && front.has_value() &&
         balance.max_group_front - balance.min_group_front > threshold) {
       const Time group_front =
@@ -280,9 +283,8 @@ void QuantumController::decide(SyncDomain& domain, DomainState& state,
     if (state.pending_count < policy.confirm_decisions) {
       reason = "awaiting confirmation";
     } else {
-      // Exponential step schedule: x2, x4, x8, ... up to 2^max_step_exp.
-      const unsigned exponent = std::min(state.streak + 1,
-                                         policy.max_step_exp);
+      // Exponential step schedule: x2, x4, x8, ... up to 2^kMaxStepExp.
+      const unsigned exponent = std::min(state.streak + 1, kMaxStepExp);
       const std::uint64_t factor = std::uint64_t{1} << exponent;
       const std::uint64_t old_ps = old_quantum.ps();
       if (desired == QuantumDirection::Grow) {

@@ -72,30 +72,16 @@ struct QuantumPolicy {
   /// decision sees a statistically meaningful per-cause window.
   std::uint64_t min_syncs_per_decision = 32;
 
-  /// Shrink when accuracy-relevant causes reach this percentage of the
+  /// Grow when SyncCause::Quantum churn reaches this percentage of the
   /// window's performed syncs (integer percent -- decisions must not
-  /// depend on floating-point rounding).
-  unsigned shrink_share_pct = 50;
-
-  /// Grow when SyncCause::Quantum churn reaches this percentage.
+  /// depend on floating-point rounding). Shrinking on accuracy-relevant
+  /// causes is checked first, at a fixed 50%.
   unsigned grow_share_pct = 90;
 
   /// Hysteresis: consecutive decisions that must agree on a direction
   /// before the first step in that direction is applied. 1 disables
   /// confirmation.
   unsigned confirm_decisions = 2;
-
-  /// Exponential step schedule: the k-th consecutive applied step in one
-  /// direction scales the quantum by 2^min(k, max_step_exp).
-  unsigned max_step_exp = 3;
-
-  /// Enables the parallel cost signal (front-lag balancing between live
-  /// concurrency groups). Off leaves only the per-cause shares.
-  bool balance_groups = true;
-
-  /// Front-lag threshold for the balancing signal, as a multiple of the
-  /// domain's current quantum: a spread below this is considered noise.
-  unsigned balance_lag_quanta = 4;
 };
 
 enum class QuantumDirection : std::uint8_t { Hold, Grow, Shrink };
@@ -222,8 +208,7 @@ class QuantumController {
   };
 
   /// The horizon's group-front comparison, computed once for all ripe
-  /// balancing domains (invalid when fewer than two groups are live or no
-  /// ripe domain wants balancing).
+  /// domains (invalid when fewer than two groups are live).
   struct BalanceSignal {
     bool valid = false;
     Time min_group_front;

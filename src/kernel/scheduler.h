@@ -32,8 +32,8 @@
 // deterministic group order on its own driving thread at the horizon.
 // That per-kernel guarantee composes: kernels share no simulation state,
 // so N kernels multiplexed over one pool each produce bit-identical
-// results to their solo runs (tests/test_scheduler.cpp enforces it, and
-// bench_fleet's in-bench assertion rides on it).
+// results to their solo runs (tests/test_scheduler.cpp enforces it;
+// fleet::Supervisor relies on it).
 //
 // Tasks must not throw. Kernels uphold this by construction: the one
 // group body (Kernel::run_group, for barrier rounds and lookahead

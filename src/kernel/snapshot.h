@@ -31,8 +31,9 @@
 // bit-exactness guarantee. Divergence that changes *simulated* behavior
 // (quanta, traffic, topology) belongs in ForkOptions::diverge, after the
 // warm point -- exactly like a scenario that diverges from a common
-// prefix. bench_fleet asserts fork-vs-cold-run bit-identity over O(100)
-// scenario variants on every CI run.
+// prefix. tests/test_snapshot.cpp holds forks bit-identical to cold
+// runs, and the benchmark suite's fleet_fork workload pins thousands of
+// forked scenarios' outputs to a reference digest.
 #pragma once
 
 #include <cstdint>

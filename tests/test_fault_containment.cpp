@@ -694,8 +694,7 @@ TEST(FaultContainment, SupervisorRetriesSchedulingBugsQuarantinesModelBugs) {
   using fleet::Supervisor;
 
   auto registry = std::make_shared<std::map<const Kernel*, SupModel>>();
-  Kernel warm(KernelConfig{.workers = 2});
-  warm.build([registry](Kernel& kk) {
+  const auto build_step = [registry](Kernel& kk) {
     SupModel& m = (*registry)[&kk];
     SyncDomain& prod = kk.create_domain(
         {.name = "sup_prod", .quantum = 40_ns, .concurrent = true});
@@ -721,7 +720,9 @@ TEST(FaultContainment, SupervisorRetriesSchedulingBugsQuarantinesModelBugs) {
         kk.current_domain().inc((i % 3 + 1) * 4_ns);
       }
     }, copts);
-  });
+  };
+  Kernel warm(KernelConfig{.workers = 2});
+  warm.build(build_step);
   // Snapshot at the cold warm point: forks replay elaboration only, so
   // sup_producer starts at activation 0 and the @3 faults below can fire
   // (activations consumed during a warm run would replay past them).
@@ -734,13 +735,23 @@ TEST(FaultContainment, SupervisorRetriesSchedulingBugsQuarantinesModelBugs) {
   specs[2].name = "model";  // persistent: fails the retry too
   specs[2].faults = FaultPlan::parse("throw:sup_producer@3");
 
-  std::map<std::string, std::uint64_t> consumed;
+  /// What a survivor must share with a cold run of the same build step.
+  struct Result {
+    Time end;
+    std::uint64_t delta_cycles = 0;
+    std::uint64_t consumed = 0;
+  };
+  const auto capture = [&registry](const Kernel& kernel) {
+    return Result{kernel.now(), kernel.stats().delta_cycles,
+                  (*registry)[&kernel].consumed};
+  };
+  std::map<std::string, Result> results;
   std::map<std::string, std::uint64_t> kernel_retries;
   Supervisor supervisor(snap, {}, FleetOptions{.batch = 3});
   const std::vector<ScenarioOutcome> outcomes = supervisor.run(
       specs,
       [&](Kernel& kernel, const ScenarioSpec& spec, const ScenarioOutcome&) {
-        consumed[spec.name] = (*registry)[&kernel].consumed;
+        results[spec.name] = capture(kernel);
         kernel_retries[spec.name] = kernel.stats().retries;
         registry->erase(&kernel);
       },
@@ -773,13 +784,25 @@ TEST(FaultContainment, SupervisorRetriesSchedulingBugsQuarantinesModelBugs) {
   EXPECT_EQ(supervisor.quarantined(), 1u);  // only "model" stayed down
   EXPECT_EQ(std::string(to_string(ScenarioStatus::Retried)), "Retried");
 
-  // Both survivors drained the full transfer; the retried kernel carries
-  // the retry mark in its stats, the first-try one does not.
-  EXPECT_EQ(consumed["ok"], 30u);
-  EXPECT_EQ(consumed["sched"], 30u);
+  // Both survivors drained the full transfer and match a cold standalone
+  // kernel that runs the same build step to completion -- the retried one
+  // too, though its second attempt ran sequentially. The retried kernel
+  // carries the retry mark in its stats, the first-try one does not.
+  Kernel cold(KernelConfig{.workers = 2});
+  cold.build(build_step);
+  cold.run();
+  const Result reference = capture(cold);
+  EXPECT_EQ(reference.consumed, 30u);
+  EXPECT_EQ(results.size(), 2u);
+  for (const auto& [name, result] : results) {
+    EXPECT_EQ(result.end, reference.end) << name;
+    EXPECT_EQ(result.delta_cycles, reference.delta_cycles) << name;
+    EXPECT_EQ(result.consumed, reference.consumed) << name;
+  }
   EXPECT_EQ(kernel_retries["ok"], 0u);
   EXPECT_EQ(kernel_retries["sched"], 1u);
 
+  registry->erase(&cold);
   registry->erase(&warm);
 }
 

@@ -2,14 +2,17 @@
 // overload, SmartFifo::declare_cell_latency): zero-latency links degrade
 // to the barrier path, mid-run latency redeclaration re-tightens the
 // derived bound, free-running groups stay bit-exact with the sequential
-// schedule, events destroyed mid-extension leave no entry behind,
-// set_lookahead_limit(0) disables free-running, explain_group shows link
-// latencies, and the per-domain quantum decision-trace ring.
+// schedule, events destroyed mid-extension leave no entry behind and
+// strand no other request, set_lookahead_limit(0) disables free-running,
+// explain_group shows link latencies, and the per-domain quantum
+// decision-trace ring.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <memory>
+#include <numeric>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/smart_fifo.h"
@@ -178,6 +181,63 @@ TEST(Lookahead, EventsDestroyedInsideAnExtensionLeaveNoEntryBehind) {
   for (std::size_t workers : {2u, 4u}) {
     const auto [parallel, advances] = run(workers);
     EXPECT_EQ(parallel, sequential) << "workers=" << workers;
+    EXPECT_GT(advances, 0u) << "workers=" << workers;
+  }
+}
+
+TEST(Lookahead, EventDestroyedInsideAnExtensionKeepsTheNextRequest) {
+  // `q` notifies `e` 10 us out -- past the window the 1 us link allows --
+  // so the extension scans that entry and leaves it buffered. Destroying
+  // `e` 20 ns later removes it from the already-scanned prefix of the
+  // group's timed buffer; the scan point must move down with it, or the
+  // next request (`p`'s resume at 40 ns) goes unscanned and `p` stalls
+  // while `c` keeps sampling. No date changes either way: only the
+  // values `c` reads show it.
+  const auto run = [](std::size_t workers) {
+    Kernel k(KernelConfig{.workers = workers});
+    SyncDomain& a = k.create_domain({.name = "a", .concurrent = true});
+    SyncDomain& b = k.create_domain({.name = "b", .concurrent = true});
+    k.link_domains(a, b, 1_us);
+    int counter = 0;
+    std::vector<int> seen;
+    k.spawn_thread("p", [&] {
+      for (int i = 0; i < 20; ++i) {
+        k.wait(10_ns);
+        counter++;
+      }
+    }, {.domain = &a});
+    k.spawn_thread("q", [&k] {
+      k.wait(10_ns);
+      Event e(k, "e");
+      e.notify(10_us);
+      k.wait(20_ns);
+    }, {.domain = &a});
+    k.spawn_thread("c", [&] {
+      k.wait(5_ns);
+      for (int i = 0; i < 20; ++i) {
+        seen.push_back(counter);
+        k.wait(10_ns);
+      }
+    }, {.domain = &a});
+    k.spawn_thread("ticker", [&k] {
+      for (int i = 0; i < 30; ++i) {
+        k.wait(10_ns);
+      }
+    }, {.domain = &b});
+    k.run();
+    Fingerprint fingerprint;
+    fingerprint.capture(k);
+    return std::make_tuple(seen, fingerprint, k.stats().lookahead_advances);
+  };
+  const auto [sequential, reference, no_advances] = run(0);
+  std::vector<int> expected(20);
+  std::iota(expected.begin(), expected.end(), 0);
+  EXPECT_EQ(sequential, expected);
+  for (std::size_t workers : {2u, 4u}) {
+    const auto [parallel, fingerprint, advances] = run(workers);
+    EXPECT_EQ(parallel, sequential) << "workers=" << workers;
+    expect_fingerprint_equal(fingerprint, reference,
+                             "workers=" + std::to_string(workers));
     EXPECT_GT(advances, 0u) << "workers=" << workers;
   }
 }

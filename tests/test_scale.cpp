@@ -1,10 +1,12 @@
 // Scale-out hardening (PR 10): the pooled fiber-stack allocator
 // (kernel/stack_pool.h), eager stack reclamation across process
 // death/rebirth and snapshot forks, the elaboration arena, and O(100)
-// domains / O(10k) processes elaboration -- the bench_scale regime, at
-// test size. Platform sizes scale down under sanitizers (fiber
-// instrumentation makes 10k fibers needlessly slow there; the full size
-// runs in the plain jobs and in bench_scale).
+// domains / O(10k) processes elaboration -- the regime of the benchmark
+// suite's scale_churn workload, at test size. Platform sizes scale down
+// under sanitizers (fiber instrumentation makes 10k fibers needlessly
+// slow there; the full size runs in the plain jobs). The clusters are
+// ringed by decoupled links, so at workers >= 2 they free-run as
+// lookahead groups; the TSan job races that path through this suite.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,11 +43,12 @@ struct PlatformResult {
   std::uint64_t stack_acquires = 0;
   std::uint64_t stack_releases = 0;
   std::uint64_t arena_reserved_bytes = 0;
+  std::uint64_t lookahead_advances = 0;
 };
 
-/// The bench_scale platform, miniaturized: `domains` concurrent clusters,
-/// `procs` short-lived workers per generation, `lives` generations
-/// respawned by per-cluster managers.
+/// The scale_churn platform, miniaturized: `domains` concurrent clusters
+/// ringed by decoupled 1 us links, `procs` short-lived workers per
+/// generation, `lives` generations respawned by per-cluster managers.
 PlatformResult run_platform(std::size_t domains, std::size_t procs,
                             std::uint64_t lives, std::uint64_t steps,
                             std::size_t workers, bool pooled = true) {
@@ -62,6 +65,12 @@ PlatformResult run_platform(std::size_t domains, std::size_t procs,
         &kernel.create_domain({.name = "cl" + std::to_string(c),
                                .quantum = 100_ns,
                                .concurrent = true});
+  }
+  // Nothing crosses the links, so the clusters stay separate groups; the
+  // latency lets each free-run ahead of its neighbours.
+  for (std::size_t c = 0; c < domains; ++c) {
+    kernel.link_domains(*clusters[c].domain,
+                        *clusters[(c + 1) % domains].domain, 1_us);
   }
   const auto spawn_worker = [&kernel, &clusters, steps, step](
                                 std::size_t c, std::size_t slot,
@@ -117,6 +126,7 @@ PlatformResult run_platform(std::size_t domains, std::size_t procs,
   result.stack_acquires = stats.stack_acquires;
   result.stack_releases = stats.stack_releases;
   result.arena_reserved_bytes = stats.arena_reserved_bytes;
+  result.lookahead_advances = stats.lookahead_advances;
   return result;
 }
 
@@ -139,19 +149,29 @@ TEST(Scale, ElaboratesAndRunsLargePlatform) {
 TEST(Scale, BitExactAcrossWorkersAndAllocModes) {
   const PlatformResult reference =
       run_platform(8, 200, /*lives=*/3, /*steps=*/20, /*workers=*/0);
-  const PlatformResult parallel =
-      run_platform(8, 200, /*lives=*/3, /*steps=*/20, /*workers=*/2);
-  const PlatformResult heap =
-      run_platform(8, 200, /*lives=*/3, /*steps=*/20, /*workers=*/2,
-                   /*pooled=*/false);
-  for (const PlatformResult* r : {&parallel, &heap}) {
-    EXPECT_EQ(r->final_date_ps, reference.final_date_ps);
-    EXPECT_EQ(r->checksum, reference.checksum);
-    EXPECT_EQ(r->context_switches, reference.context_switches);
-    EXPECT_EQ(r->delta_cycles, reference.delta_cycles);
-    EXPECT_EQ(r->processes_spawned, reference.processes_spawned);
-    EXPECT_EQ(r->stack_acquires, reference.stack_acquires);
-    EXPECT_EQ(r->arena_reserved_bytes, reference.arena_reserved_bytes);
+  EXPECT_EQ(reference.lookahead_advances, 0u);
+  struct Variant {
+    std::size_t workers;
+    bool pooled;
+  };
+  for (const Variant v : {Variant{2, true}, Variant{4, true},
+                          Variant{2, false}}) {
+    const PlatformResult r = run_platform(8, 200, /*lives=*/3, /*steps=*/20,
+                                          v.workers, v.pooled);
+    const std::string what = "workers=" + std::to_string(v.workers) +
+                             (v.pooled ? " pooled" : " heap");
+    EXPECT_EQ(r.final_date_ps, reference.final_date_ps) << what;
+    EXPECT_EQ(r.checksum, reference.checksum) << what;
+    EXPECT_EQ(r.context_switches, reference.context_switches) << what;
+    EXPECT_EQ(r.delta_cycles, reference.delta_cycles) << what;
+    EXPECT_EQ(r.processes_spawned, reference.processes_spawned) << what;
+    EXPECT_EQ(r.stack_acquires, reference.stack_acquires) << what;
+    EXPECT_EQ(r.stack_releases, reference.stack_releases) << what;
+    EXPECT_EQ(r.arena_reserved_bytes, reference.arena_reserved_bytes)
+        << what;
+    // The ring's latency must let the clusters run ahead of the horizon,
+    // not just fall back to barrier rounds.
+    EXPECT_GT(r.lookahead_advances, 0u) << what;
   }
 }
 

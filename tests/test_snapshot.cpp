@@ -2,7 +2,7 @@
 // checkpointing. A kernel whose elaboration is routed through build()
 // steps can be snapshotted after an arbitrary warm-up and forked into
 // divergent variants, each bit-identical to a cold kernel constructed the
-// same way -- the fleet primitive behind bench_fleet.
+// same way -- the fleet primitive behind fleet::Supervisor.
 #include <gtest/gtest.h>
 
 #include <deque>

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark regression gate for the BENCH_*.json files the benches emit.
 
-Six checks, run by CI's perf-gate job (see .github/workflows/ci.yml):
+Five checks, run by CI's perf-gate job (see .github/workflows/ci.yml):
 
 1. Determinism vs committed baseline (bench/baselines/): every numeric
    field except wall-clock ones must match the baseline bit-for-bit.
@@ -61,36 +61,6 @@ Six checks, run by CI's perf-gate job (see .github/workflows/ci.yml):
    The rows' deterministic fields (dates, block and sync counts) are
    covered by check 1, which is what holds chunked mode to per-element
    bit-exactness on every push.
-
-6. Fleet throughput gate: rows carrying a "fleet_mode" field
-   (bench_fleet --json) compare the snapshot-fork path against cold
-   standalone rebuilds of the same scenarios. The fork path must reach
-   --fleet-throughput (default 0.35) of the cold path's scenarios/sec:
-   forking through the construction log replays the same work as a cold
-   build, so the gate bounds the scheduler-multiplexing and fork overhead
-   rather than demanding a speedup. The fleet's deterministic fields (the
-   per-scenario digest, date and delta sums) are covered by check 1 --
-   that is where the bench's fork-equals-cold bit-exactness guarantee is
-   held to the committed baseline (the bench itself additionally exits
-   nonzero if any scenario diverges from its cold run). Noise-floored on
-   the cold wall like the other relative gates.
-
-7. Scale allocation gate: rows carrying an "alloc_mode" field
-   (bench_scale --json) compare the kernel's pooled fiber-stack
-   allocator and elaboration arenas ("pooled") against the legacy
-   per-process heap stacks ("malloc") on the O(100)-domain /
-   O(10k)-process platform. The pooled rows' summed elaboration wall
-   AND summed run wall must each beat the malloc sums by at least
-   --scale-speedup (default 0.10): recycling mapped, already-faulted
-   stack blocks has to pay both at spawn time (elaboration, respawn
-   generations) and in steady state (no munmap/mmap churn, no value-init
-   memset of whole stacks). bench_scale's rows deliberately emit
-   elab_wall_seconds/run_wall_seconds and no "wall_seconds", so the
-   generic worker gates (2 and 4) do not double-gate this bench; its
-   deterministic fields (dates, checksum, switch/delta/spawn counts) are
-   covered by check 1, which holds the pooled allocator and both worker
-   sweeps to bit-exactness against the committed baseline. Noise-floored
-   on the malloc reference sums like the other relative gates.
 
 Wall-clock fields (any key containing "wall" or "seconds") are never
 compared against the baseline: baselines are committed from whatever
@@ -250,62 +220,6 @@ def check_chunked_speedup(name, rows, min_speedup, min_ref_wall, out):
     return 0 if verdict == "ok  " else 1
 
 
-def check_fleet_throughput(name, rows, min_throughput, min_ref_wall, out):
-    """Fork path must reach a fraction of the cold path's scenarios/sec."""
-    walls = {}
-    for row in rows:
-        if "fleet_mode" in row and "wall_seconds" in row:
-            walls[row["fleet_mode"]] = row["wall_seconds"]
-    fork = walls.get("fork")
-    cold = walls.get("cold")
-    if fork is None or cold is None:
-        return 0
-    if cold < min_ref_wall:
-        out.append(f"skip {name}: cold wall {cold:.3f}s below "
-                   f"{min_ref_wall}s noise floor, fleet gate not applied")
-        return 0
-    throughput = cold / fork if fork > 0 else float("inf")
-    verdict = "ok  " if throughput >= min_throughput else "FAIL"
-    out.append(f"{verdict} {name}: fork wall {fork:.3f}s = "
-               f"{100 * throughput:.0f}% of cold throughput "
-               f"({cold:.3f}s), floor {100 * min_throughput:.0f}%")
-    return 0 if verdict == "ok  " else 1
-
-
-def check_scale_alloc(name, rows, min_speedup, min_ref_wall, out):
-    """Pooled stacks must beat malloc stacks on elaboration and run walls."""
-    flagged = [r for r in rows if "alloc_mode" in r]
-    if not flagged:
-        return 0
-    sums = {}  # (alloc_mode, phase key) -> summed wall
-    for row in flagged:
-        for key in ("elab_wall_seconds", "run_wall_seconds"):
-            if key in row:
-                sums.setdefault((row["alloc_mode"], key), 0.0)
-                sums[(row["alloc_mode"], key)] += row[key]
-    failures = 0
-    required = 1.0 / (1.0 - min_speedup)
-    for key, phase in (("elab_wall_seconds", "elab"),
-                       ("run_wall_seconds", "run")):
-        malloc = sums.get(("malloc", key))
-        pooled = sums.get(("pooled", key))
-        if malloc is None or pooled is None:
-            continue
-        if malloc < min_ref_wall:
-            out.append(f"skip {name}: malloc {phase} wall {malloc:.3f}s "
-                       f"below {min_ref_wall}s noise floor, scale {phase} "
-                       "gate not applied")
-            continue
-        speedup = malloc / pooled if pooled > 0 else float("inf")
-        verdict = "ok  " if speedup >= required else "FAIL"
-        if verdict == "FAIL":
-            failures += 1
-        out.append(f"{verdict} {name}: pooled {phase} wall {pooled:.3f}s, "
-                   f"{speedup:.2f}x over malloc ({malloc:.3f}s), floor "
-                   f"{required:.2f}x")
-    return failures
-
-
 def check_adaptive_walls(name, rows, min_throughput, min_ref_wall, out):
     """Adaptive rows vs the best fixed row of their comparison group."""
     flagged = [r for r in rows
@@ -391,14 +305,6 @@ def main():
                         help="fractional wall improvement the chunked "
                         "rows must show over the per-element rows on the "
                         "wide-FIFO sweep (default 0.10)")
-    parser.add_argument("--fleet-throughput", type=float, default=0.35,
-                        help="fraction of the cold path's scenarios/sec "
-                        "the fork path must reach in bench_fleet "
-                        "(default 0.35)")
-    parser.add_argument("--scale-speedup", type=float, default=0.10,
-                        help="fractional wall improvement bench_scale's "
-                        "pooled rows must show over the malloc rows, on "
-                        "both the elaboration and run sums (default 0.10)")
     parser.add_argument("--adaptive-throughput", type=float, default=0.9,
                         help="fraction of the best fixed-quantum row's "
                         "wall-clock throughput every adaptive row must "
@@ -426,10 +332,6 @@ def main():
                                   args.min_ref_wall, args.cores, out)
         failures += check_chunked_speedup(name, rows, args.chunked_speedup,
                                           args.min_ref_wall, out)
-        failures += check_fleet_throughput(name, rows, args.fleet_throughput,
-                                           args.min_ref_wall, out)
-        failures += check_scale_alloc(name, rows, args.scale_speedup,
-                                      args.min_ref_wall, out)
         failures += check_adaptive_walls(name, rows, args.adaptive_throughput,
                                          args.min_ref_wall, out)
 
