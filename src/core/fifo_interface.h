@@ -4,7 +4,9 @@
 //   * SyncFifo    -- regular channel + sync() per access ("TDless"),
 //   * SmartFifo   -- the paper's contribution ("TDfull").
 // Scenarios written against this interface can run unchanged in every mode,
-// which is what the dual-mode validation of paper SIV.A requires.
+// which is what the dual-mode validation of paper SIV.A requires. Chunked
+// publication is not part of the interface: only SmartFifo has a chunk
+// capacity (set it on the SmartFifo itself).
 #pragma once
 
 #include <cstddef>
@@ -33,16 +35,6 @@ class FifoInterface {
   virtual std::size_t get_size() = 0;
 
   virtual std::size_t depth() const = 0;
-
-  /// Publication granularity (see core/smart_fifo.h): a capacity >= 2
-  /// batches the channel's per-access bookkeeping (delta notifications,
-  /// per-access sync books, external-view transitions) once per chunk of
-  /// that many accesses; 0 or 1 runs it on every access (per-element).
-  /// Legal mid-run. Channels without batching ignore it. Data-path dates
-  /// never depend on the capacity; only counts do. chunk_capacity()
-  /// reports 0 for a per-element channel.
-  virtual void set_chunk_capacity(std::size_t) {}
-  virtual std::size_t chunk_capacity() const { return 0; }
 
   /// Lifetime counters for benchmarks and tests.
   virtual std::uint64_t total_writes() const = 0;

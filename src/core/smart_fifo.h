@@ -377,7 +377,7 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
   /// channel's own processes, or elaboration -- even while the peer is
   /// suspended in a blocking access. Only capacities >= 2 register with
   /// the kernel's flush points.
-  void set_chunk_capacity(std::size_t capacity) override {
+  void set_chunk_capacity(std::size_t capacity) {
     flush_chunks();
     const bool was_chunked = chunk_capacity_ >= 2;
     chunk_capacity_ = std::max<std::size_t>(1, capacity);
@@ -387,7 +387,7 @@ class SmartFifo final : public FifoInterface<T>, public ChunkFlushListener {
       kernel_.unregister_chunk_flush(this);
     }
   }
-  std::size_t chunk_capacity() const override {
+  std::size_t chunk_capacity() const {
     return chunk_capacity_ >= 2 ? chunk_capacity_ : 0;
   }
 

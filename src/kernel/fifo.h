@@ -3,19 +3,8 @@
 // thread processes; non-blocking accessors and events serve method
 // processes. This is the channel used by the paper's untimed model and, via
 // SyncFifo, by the "TDless" reference model.
-//
-// Chunk capacity (set_chunk_capacity, or the TDSIM_CHUNKED default): the
-// buffer itself is always immediately visible; the capacity only sets how
-// often the data_written / data_read delta notifications fire. They fire
-// on the empty<->non-empty and full<->non-full transitions (the only
-// wake-relevant ones for the blocking loops), once every chunk_capacity
-// accesses -- every access at capacity 0 or 1 -- and, at capacity >= 2,
-// at every kernel flush point (Kernel::ChunkFlushListener). Blocking
-// dates never depend on the capacity; only the number of delta
-// notifications observers see does.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <deque>
 #include <string>
@@ -29,7 +18,7 @@
 namespace tdsim {
 
 template <typename T>
-class Fifo : public ChunkFlushListener {
+class Fifo {
  public:
   /// A FIFO with `depth` cells (depth must be at least one, matching a
   /// hardware FIFO).
@@ -42,13 +31,6 @@ class Fifo : public ChunkFlushListener {
     if (depth_ == 0) {
       Report::error("Fifo " + name_ + ": depth must be >= 1");
     }
-    set_chunk_capacity(kernel_.default_chunk_capacity());
-  }
-
-  ~Fifo() override {
-    if (chunk_capacity_ >= 2) {
-      kernel_.unregister_chunk_flush(this);
-    }
   }
 
   /// Blocking write; suspends the calling thread while the FIFO is full.
@@ -60,7 +42,7 @@ class Fifo : public ChunkFlushListener {
     }
     buffer_.push_back(std::move(value));
     total_writes_++;
-    note_written();
+    data_written_.notify_delta();
   }
 
   /// Blocking read; suspends the calling thread while the FIFO is empty.
@@ -73,7 +55,7 @@ class Fifo : public ChunkFlushListener {
     T value = std::move(buffer_.front());
     buffer_.pop_front();
     total_reads_++;
-    note_read();
+    data_read_.notify_delta();
     return value;
   }
 
@@ -85,7 +67,7 @@ class Fifo : public ChunkFlushListener {
     }
     buffer_.push_back(std::move(value));
     total_writes_++;
-    note_written();
+    data_written_.notify_delta();
     return true;
   }
 
@@ -98,7 +80,7 @@ class Fifo : public ChunkFlushListener {
     out = std::move(buffer_.front());
     buffer_.pop_front();
     total_reads_++;
-    note_read();
+    data_read_.notify_delta();
     return true;
   }
 
@@ -131,45 +113,6 @@ class Fifo : public ChunkFlushListener {
   }
   Time declared_min_latency() const { return domain_link_.min_latency(); }
 
-  /// Notification batching (see the header comment). Fires any pending
-  /// notifications first; a capacity >= 2 registers the FIFO as a kernel
-  /// flush listener, 0 or 1 notifies on every access.
-  void set_chunk_capacity(std::size_t capacity) {
-    flush_chunks();
-    const bool was_chunked = chunk_capacity_ >= 2;
-    chunk_capacity_ = std::max<std::size_t>(1, capacity);
-    if (chunk_capacity_ >= 2 && !was_chunked) {
-      kernel_.register_chunk_flush(this);
-    } else if (chunk_capacity_ < 2 && was_chunked) {
-      kernel_.unregister_chunk_flush(this);
-    }
-  }
-  /// 0 for a per-element FIFO.
-  std::size_t chunk_capacity() const {
-    return chunk_capacity_ >= 2 ? chunk_capacity_ : 0;
-  }
-
-  /// Kernel flush point (horizons, lookahead waves, run() exit): fire the
-  /// batched delta notifications so pollers observe a settled channel.
-  bool flush_chunks() override {
-    bool any = false;
-    if (pending_written_ != 0) {
-      pending_written_ = 0;
-      data_written_.notify_delta();
-      any = true;
-    }
-    if (pending_read_ != 0) {
-      pending_read_ = 0;
-      data_read_.notify_delta();
-      any = true;
-    }
-    return any;
-  }
-
-  SyncDomain* chunk_home_domain() const override {
-    return domain_link_.first_domain();
-  }
-
   // Lifetime access counters, for tests and benchmarks.
   std::uint64_t total_writes() const { return total_writes_; }
   std::uint64_t total_reads() const { return total_reads_; }
@@ -177,24 +120,6 @@ class Fifo : public ChunkFlushListener {
   std::uint64_t reads_blocked() const { return reads_blocked_; }
 
  private:
-  /// Post-write notification: once chunk_capacity_ writes are pending,
-  /// on the empty->non-empty transition (the wake-relevant one), and at
-  /// kernel flush points.
-  void note_written() {
-    if (++pending_written_ >= chunk_capacity_ || buffer_.size() == 1) {
-      pending_written_ = 0;
-      data_written_.notify_delta();
-    }
-  }
-
-  /// Post-read analog of note_written() (full->non-full transition).
-  void note_read() {
-    if (++pending_read_ >= chunk_capacity_ || buffer_.size() == depth_ - 1) {
-      pending_read_ = 0;
-      data_read_.notify_delta();
-    }
-  }
-
   Kernel& kernel_;
   std::string name_;
   std::size_t depth_;
@@ -208,10 +133,6 @@ class Fifo : public ChunkFlushListener {
   std::uint64_t total_reads_ = 0;
   std::uint64_t writes_blocked_ = 0;
   std::uint64_t reads_blocked_ = 0;
-  /// Notification threshold, >= 1 (1 = notify on every access).
-  std::size_t chunk_capacity_ = 1;
-  std::size_t pending_written_ = 0;
-  std::size_t pending_read_ = 0;
 };
 
 }  // namespace tdsim

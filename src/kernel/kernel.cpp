@@ -113,7 +113,6 @@ Kernel::Kernel(const KernelConfig& config) {
   if (!config_.pooled_stacks) config_.pooled_stacks = true;
   if (!config_.stack_guard) config_.stack_guard = true;
   workers_ = *config_.workers;
-  default_chunk_capacity_ = *config_.default_chunk_capacity;
   lookahead_max_waves_ = *config_.lookahead_limit;
   delta_limit_ = *config_.delta_cycle_limit;
   pooled_stacks_ = *config_.pooled_stacks;
@@ -301,14 +300,6 @@ void require_same_kernel(const Kernel* kernel, const SyncDomain& domain,
 }
 
 }  // namespace
-
-void Kernel::clear_quantum_policy(SyncDomain& domain) {
-  require_same_kernel(this, domain, "clear_quantum_policy");
-  note_external_elaboration();
-  if (quantum_controller_) {
-    quantum_controller_->clear_policy(domain);
-  }
-}
 
 const QuantumPolicy* Kernel::quantum_policy(const SyncDomain& domain) const {
   require_same_kernel(this, domain, "quantum_policy");

@@ -67,13 +67,14 @@ class UpdateListener {
   virtual void update() = 0;
 };
 
-/// Implemented by channels that publish in chunks (chunk capacity >= 2;
-/// see core/smart_fifo.h). The scheduler calls flush_chunks() at every
+/// Implemented by the Smart FIFO, the one chunked channel, which
+/// registers while it publishes in chunks (chunk capacity >= 2; see
+/// core/smart_fifo.h). The scheduler calls flush_chunks() at every
 /// cascade-drained point *before* simulated time advances -- the global
-/// horizon in run(), and each group-local wave boundary inside a lookahead
-/// free-run extension -- so a partially filled chunk is never outrun by
-/// the date its stamps were made at. That invariant is what keeps chunked
-/// data-path dates bit-exact with per-element publication.
+/// horizon in run(), and each group-local wave boundary inside a
+/// lookahead free-run extension -- so a partially filled chunk is never
+/// outrun by the date its stamps were made at. That invariant is what
+/// keeps chunked data-path dates bit-exact with per-element publication.
 class ChunkFlushListener {
  public:
   virtual ~ChunkFlushListener() = default;
@@ -345,28 +346,27 @@ class Kernel {
 
   // --- chunked channels (see core/smart_fifo.h) ---
 
-  /// Registers a channel that publishes in chunks; the scheduler flushes
-  /// it at every cascade-drained point before time advances. Channels
-  /// call this when their capacity rises to 2 or more and unregister when
-  /// it drops back to per-element publication, or on destruction.
+  /// Registers a Smart FIFO that publishes in chunks; the scheduler
+  /// flushes it at every cascade-drained point before time advances. The
+  /// FIFO calls this when its capacity rises to 2 or more and unregisters
+  /// when it drops back to per-element publication, or on destruction.
   /// Registration order is the deterministic flush order. Safe from
   /// inside a parallel round.
   void register_chunk_flush(ChunkFlushListener* listener);
   void unregister_chunk_flush(ChunkFlushListener* listener);
 
-  /// Chunk capacity every SmartFifo, Fifo and SyncFifo adopts at
-  /// construction (FifoInterface::set_chunk_capacity): 0 or 1 publishes
-  /// per element (the default -- the capacity-1 case of the one
-  /// publication path, so existing models and baselines are
-  /// bit-identical), >= 2 batches publication per chunk of that many
-  /// accesses. Seeded from $TDSIM_CHUNKED ("1" or a non-numeric truthy
-  /// value picks the default capacity of 16, a number >= 2 is the
-  /// capacity, unset/"0" stays per-element); per-channel
-  /// set_chunk_capacity overrides either way.
-  std::size_t default_chunk_capacity() const { return default_chunk_capacity_; }
-  void set_default_chunk_capacity(std::size_t capacity) {
-    default_chunk_capacity_ = capacity;
-    config_.default_chunk_capacity = capacity;
+  /// Chunk capacity every SmartFifo adopts at construction
+  /// (SmartFifo::set_chunk_capacity): 0 or 1 publishes per element (the
+  /// default -- the capacity-1 case of the one publication path, so
+  /// existing models and baselines are bit-identical), >= 2 batches
+  /// publication per chunk of that many accesses. The resolved
+  /// KernelConfig::default_chunk_capacity ($TDSIM_CHUNKED: "1" or a
+  /// non-numeric truthy value picks the default capacity of 16, a number
+  /// >= 2 is the capacity, unset/"0" stays per-element); a SmartFifo's
+  /// own set_chunk_capacity overrides either way. The reference channels
+  /// (Fifo, SyncFifo, UntimedFifo) have no capacity.
+  std::size_t default_chunk_capacity() const {
+    return *config_.default_chunk_capacity;
   }
 
   // --- synchronization domains ---
@@ -390,9 +390,6 @@ class Kernel {
   /// TDSIM_ADAPTIVE_QUANTUM environment variable (any value but "0") seeds
   /// a default QuantumPolicy on every domain at creation.
   void set_quantum_policy(SyncDomain& domain, const QuantumPolicy& policy);
-
-  /// Detaches the domain's policy; the quantum stays at its last value.
-  void clear_quantum_policy(SyncDomain& domain);
 
   /// The policy attached to `domain`, or null when the domain is not
   /// adaptive.
@@ -1060,8 +1057,6 @@ class Kernel {
   /// Lock-free emptiness pre-check for the per-wave flush points (a
   /// worker may probe while another group's process registers a channel).
   std::atomic<std::size_t> chunk_flush_count_{0};
-  /// See default_chunk_capacity().
-  std::size_t default_chunk_capacity_ = 0;
 
   // --- construction config + snapshot forking (see kernel/snapshot.h) ---
 

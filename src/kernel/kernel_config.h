@@ -19,9 +19,10 @@
 //       Any value but "" and "0" seeds a default QuantumPolicy on every
 //       domain at creation (DomainOptions::policy overrides per domain).
 //   TDSIM_CHUNKED           -> KernelConfig::default_chunk_capacity
-//       A number >= 2 is the chunk capacity every new channel adopts, "1"
-//       or any other truthy value picks the default capacity (16),
-//       unset/"0" keeps per-element mode.
+//       A number >= 2 is the chunk capacity every new SmartFifo adopts,
+//       "1" or any other truthy value picks the default capacity (16),
+//       unset/"0" keeps per-element mode. The reference channels (Fifo,
+//       SyncFifo, UntimedFifo) have no capacity and ignore it.
 //   TDSIM_QUANTUM_TRACE     -> KernelConfig::quantum_trace_depth
 //       Numeric depth (>= 1) of every domain's adaptive-decision trace
 //       ring (default kQuantumTraceDepth = 8).
@@ -79,8 +80,8 @@ struct KernelConfig {
   /// the process-wide Scheduler). 0/1 = sequential. Default 0.
   std::optional<std::size_t> workers{};
 
-  /// Chunk capacity channels adopt at construction; 0/1 = per-element.
-  /// Default 0.
+  /// Chunk capacity every SmartFifo adopts at construction (the reference
+  /// channels have none); 0/1 = per-element. Default 0.
   std::optional<std::size_t> default_chunk_capacity{};
 
   /// Seed a default QuantumPolicy on every created domain. Default false.

@@ -76,14 +76,6 @@ void QuantumController::set_policy(SyncDomain& domain,
   }
 }
 
-void QuantumController::clear_policy(SyncDomain& domain) {
-  if (states_.size() <= domain.id() || !states_[domain.id()].active) {
-    return;
-  }
-  states_[domain.id()].active = false;
-  active_count_--;
-}
-
 const QuantumPolicy* QuantumController::policy(const SyncDomain& domain) const {
   if (states_.size() <= domain.id() || !states_[domain.id()].active) {
     return nullptr;

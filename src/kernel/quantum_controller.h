@@ -137,7 +137,6 @@ class QuantumController {
   QuantumController& operator=(const QuantumController&) = delete;
 
   void set_policy(SyncDomain& domain, const QuantumPolicy& policy);
-  void clear_policy(SyncDomain& domain);
 
   /// The policy attached to `domain`, or null. Stable for the kernel's
   /// lifetime (per-domain state lives in a deque): attaching policies to

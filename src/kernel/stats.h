@@ -331,28 +331,41 @@ struct KernelStats {
     sync_aggregates_stale = 0;
   }
 
+  /// The single enumeration point of every KernelStats counter, the
+  /// KernelStats twin of DomainStats::for_each_counter: applies
+  /// `f(mine, theirs)` to each scalar counter of `a` and `b` in lockstep,
+  /// then to the kernel-wide sync aggregates through the DomainStats list.
+  /// operator- and accumulate() go through here, so a new counter is one
+  /// edit -- and the sizeof tripwire below makes forgetting it a compile
+  /// error. sync_aggregates_stale (a flag) and the per-domain entries are
+  /// not counters; the callers merge those themselves.
+  template <typename A, typename B, typename F>
+  static void for_each_counter(A& a, B& b, F&& f) {
+    f(a.context_switches, b.context_switches);
+    f(a.method_activations, b.method_activations);
+    f(a.delta_cycles, b.delta_cycles);
+    f(a.timed_waves, b.timed_waves);
+    f(a.event_triggers, b.event_triggers);
+    f(a.processes_spawned, b.processes_spawned);
+    f(a.timed_queue_compactions, b.timed_queue_compactions);
+    f(a.parallel_rounds, b.parallel_rounds);
+    f(a.horizon_waits, b.horizon_waits);
+    f(a.lookahead_advances, b.lookahead_advances);
+    f(a.steals, b.steals);
+    f(a.stack_acquires, b.stack_acquires);
+    f(a.stack_recycles, b.stack_recycles);
+    f(a.stack_releases, b.stack_releases);
+    f(a.arena_reserved_bytes, b.arena_reserved_bytes);
+    f(a.failures, b.failures);
+    f(a.watchdog_trips, b.watchdog_trips);
+    f(a.retries, b.retries);
+    DomainStats::for_each_counter(a, b, f);
+  }
+
   KernelStats operator-(const KernelStats& o) const {
     KernelStats r = *this;
-    r.context_switches -= o.context_switches;
-    r.method_activations -= o.method_activations;
-    r.delta_cycles -= o.delta_cycles;
-    r.timed_waves -= o.timed_waves;
-    r.event_triggers -= o.event_triggers;
-    r.processes_spawned -= o.processes_spawned;
-    r.timed_queue_compactions -= o.timed_queue_compactions;
-    r.parallel_rounds -= o.parallel_rounds;
-    r.horizon_waits -= o.horizon_waits;
-    r.lookahead_advances -= o.lookahead_advances;
-    r.steals -= o.steals;
-    r.stack_acquires -= o.stack_acquires;
-    r.stack_recycles -= o.stack_recycles;
-    r.stack_releases -= o.stack_releases;
-    r.arena_reserved_bytes -= o.arena_reserved_bytes;
-    r.failures -= o.failures;
-    r.watchdog_trips -= o.watchdog_trips;
-    r.retries -= o.retries;
-    DomainStats::for_each_counter(
-        r, o, [](std::uint64_t& a, const std::uint64_t& b) { a -= b; });
+    for_each_counter(r, o,
+                     [](std::uint64_t& a, const std::uint64_t& b) { a -= b; });
     // Domains created after the `o` snapshot keep their full counts.
     for (std::size_t d = 0; d < r.domains.size() && d < o.domains.size();
          ++d) {
@@ -362,15 +375,16 @@ struct KernelStats {
   }
 };
 
-/// Tripwire, mirroring the DomainStats one: a new KernelStats counter must
-/// be added to operator- and accumulate() (or, for a sync counter, to
+/// Tripwire, mirroring the DomainStats one: 18 scalar counters, the 4
+/// scalar sync aggregates plus syncs_by_cause (DomainStats's list) and the
+/// stale flag. A new KernelStats counter must be added to
+/// KernelStats::for_each_counter (or, for a sync counter, to
 /// DomainStats::for_each_counter) -- this assert forces that review.
 static_assert(sizeof(KernelStats) ==
                   sizeof(std::vector<DomainStats>) +
-                      (23 + kSyncCauseCount) * sizeof(std::uint64_t),
-              "new KernelStats field? thread it through operator-, "
-              "accumulate() and fold_domain_sync_aggregates(), then update "
-              "this tripwire");
+                      (18 + 4 + 1 + kSyncCauseCount) * sizeof(std::uint64_t),
+              "new KernelStats field? add it to KernelStats::for_each_counter "
+              "and update this tripwire");
 
 /// Adds `delta` into `into`, field by field (per-domain entries
 /// entrywise; names are kept from `into`). This is how the parallel
@@ -378,26 +392,8 @@ static_assert(sizeof(KernelStats) ==
 /// kernel aggregate at a synchronization horizon -- addition is
 /// commutative, so the merged totals are independent of worker timing.
 inline void accumulate(KernelStats& into, const KernelStats& delta) {
-  into.context_switches += delta.context_switches;
-  into.method_activations += delta.method_activations;
-  into.delta_cycles += delta.delta_cycles;
-  into.timed_waves += delta.timed_waves;
-  into.event_triggers += delta.event_triggers;
-  into.processes_spawned += delta.processes_spawned;
-  into.timed_queue_compactions += delta.timed_queue_compactions;
-  into.parallel_rounds += delta.parallel_rounds;
-  into.horizon_waits += delta.horizon_waits;
-  into.lookahead_advances += delta.lookahead_advances;
-  into.steals += delta.steals;
-  into.stack_acquires += delta.stack_acquires;
-  into.stack_recycles += delta.stack_recycles;
-  into.stack_releases += delta.stack_releases;
-  into.arena_reserved_bytes += delta.arena_reserved_bytes;
-  into.failures += delta.failures;
-  into.watchdog_trips += delta.watchdog_trips;
-  into.retries += delta.retries;
   const auto add = [](std::uint64_t& a, const std::uint64_t& b) { a += b; };
-  DomainStats::for_each_counter(into, delta, add);
+  KernelStats::for_each_counter(into, delta, add);
   // A group that booked syncs leaves its buffered delta stale; merging it
   // makes the target's aggregates stale too (until the next fold).
   into.sync_aggregates_stale |= delta.sync_aggregates_stale;

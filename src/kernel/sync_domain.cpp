@@ -92,15 +92,6 @@ void SyncDomain::sync(SyncCause cause) {
   perform_sync_in(ctx, ctx.process->clock(), cause);
 }
 
-void SyncDomain::sync_unbooked() {
-  const SyncContext ctx = kernel_.sync_context();
-  if (ctx.process == nullptr) {
-    outside_process_error();
-  }
-  perform_sync_in(ctx, ctx.process->clock(), SyncCause::Explicit,
-                  /*book=*/false);
-}
-
 bool SyncDomain::is_synchronized() const {
   return current_clock().is_synchronized();
 }
@@ -165,39 +156,28 @@ void SyncDomain::perform_sync(LocalClock& clock, SyncCause cause) {
 }
 
 void SyncDomain::perform_sync_in(const SyncContext& ctx, LocalClock& clock,
-                                 SyncCause cause, bool book) {
+                                 SyncCause cause) {
   Process& p = clock.owner();
   // A sync through a foreign domain would apply the wrong quantum policy
   // and book the switch against the wrong subsystem.
   require_member(p);
   const Time offset = clock.offset();
-  if (book) {
-    // Only the owning domain's entry is touched per event; the
-    // kernel-wide aggregate is folded from the domain entries when
-    // stats() is read (the stale mark tells it to).
-    ctx.stats->sync_aggregates_stale = 1;
-    DomainStats& domain_stats = ctx.stats->domains[id_];
-    domain_stats.sync_requests++;
-    if (offset.is_zero()) {
-      domain_stats.syncs_elided++;
-      return;
-    }
-    if (p.kind() == ProcessKind::Method) {
-      Report::error("sync() called from method process '" + p.name() +
-                    "' with a non-zero local offset; use "
-                    "method_sync_trigger() instead");
-    }
-    domain_stats.syncs_by_cause[static_cast<std::size_t>(cause)]++;
-  } else {
-    if (offset.is_zero()) {
-      return;
-    }
-    if (p.kind() == ProcessKind::Method) {
-      Report::error("sync() called from method process '" + p.name() +
-                    "' with a non-zero local offset; use "
-                    "method_sync_trigger() instead");
-    }
+  // Only the owning domain's entry is touched per event; the kernel-wide
+  // aggregate is folded from the domain entries when stats() is read (the
+  // stale mark tells it to).
+  ctx.stats->sync_aggregates_stale = 1;
+  DomainStats& domain_stats = ctx.stats->domains[id_];
+  domain_stats.sync_requests++;
+  if (offset.is_zero()) {
+    domain_stats.syncs_elided++;
+    return;
   }
+  if (p.kind() == ProcessKind::Method) {
+    Report::error("sync() called from method process '" + p.name() +
+                  "' with a non-zero local offset; use "
+                  "method_sync_trigger() instead");
+  }
+  domain_stats.syncs_by_cause[static_cast<std::size_t>(cause)]++;
   clock.set_offset(Time{});
   kernel_.wait_for(p, offset);
 }

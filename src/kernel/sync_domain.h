@@ -177,14 +177,6 @@ class SyncDomain {
   /// sync() on the current process's clock, attributed to `cause`.
   void sync(SyncCause cause = SyncCause::Explicit);
 
-  /// Chunked-accounting variant for channels that batch their sync books
-  /// (see core/sync_fifo.h): the identical date-faithful synchronization
-  /// -- same suspension, same resulting local date -- but the per-cause
-  /// books are skipped; the caller attributes one normal sync() per
-  /// chunk. Date-neutral by construction; only the counters (and the
-  /// signals the adaptive quantum controller reads from them) change.
-  void sync_unbooked();
-
   /// The canonical loosely-timed pattern: inc, then sync only when the
   /// quantum is exhausted. Checks membership before the clock moves, so a
   /// call through a foreign domain fails without side effects.
@@ -226,10 +218,8 @@ class SyncDomain {
   /// suspends the owner until the global date catches up. `ctx` is the
   /// caller's already-resolved execution context, so the hot path performs
   /// exactly one thread-local read per synchronization request.
-  /// `book` is false only for sync_unbooked(): the suspension is
-  /// identical, the per-cause stats writes are skipped.
   void perform_sync_in(const SyncContext& ctx, LocalClock& clock,
-                       SyncCause cause, bool book = true);
+                       SyncCause cause);
 
   /// The method-process counterpart: re-arm at the local date through
   /// Kernel::next_trigger (generation-safe) and keep the books.

@@ -76,13 +76,15 @@ class ScenarioEnv {
   FifoInterface<int>& fifo(const std::string& name, std::size_t depth) {
     switch (mode_) {
       case Mode::SmartDecoupled:
-      case Mode::SmartChunked:
-        fifos_.push_back(std::make_unique<SmartFifo<int>>(
-            kernel_, name, depth, mutations_));
+      case Mode::SmartChunked: {
+        auto smart = std::make_unique<SmartFifo<int>>(kernel_, name, depth,
+                                                      mutations_);
         if (mode_ == Mode::SmartChunked) {
-          fifos_.back()->set_chunk_capacity(kScenarioChunkCapacity);
+          smart->set_chunk_capacity(kScenarioChunkCapacity);
         }
+        fifos_.push_back(std::move(smart));
         break;
+      }
       case Mode::Reference:
       case Mode::SyncDecoupled:
         fifos_.push_back(

@@ -3,8 +3,8 @@
 // publication and with itself across worker counts, mid-run capacity
 // changes are clean -- also while the peer is suspended in a blocking
 // call -- partial chunks flush at horizons and at run() exit, and the
-// SyncFifo / Fifo chunk capacities batch their accounting without moving
-// a date.
+// reference channels (SyncFifo, Fifo) ignore the kernel's chunk default:
+// they have no capacity, so every count stays the per-access one.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -300,101 +300,123 @@ TEST(ChunkedFifo, PartialChunksFlushAtHorizonsAndRunExit) {
   }
 }
 
-/// chunk_capacity() is 0 on every per-element channel -- capacity 0 and 1
+/// chunk_capacity() is 0 on a per-element SmartFifo -- capacity 0 and 1
 /// are the same publication rule -- and the capacity otherwise, whether
 /// it came from the kernel default or from set_chunk_capacity.
 TEST(ChunkedFifo, PerElementChannelsReportCapacityZero) {
   for (std::size_t kernel_default : {0u, 1u, 16u}) {
     Kernel k(KernelConfig{.default_chunk_capacity = kernel_default});
     SmartFifo<int> smart(k, "cap_smart", 4);
-    Fifo<int> plain(k, "cap_plain", 4);
-    SyncFifo<int> sync(k, "cap_sync", 4);
     const std::size_t want = kernel_default >= 2 ? kernel_default : 0;
     const std::string what = "default=" + std::to_string(kernel_default);
     EXPECT_EQ(smart.chunk_capacity(), want) << what;
-    EXPECT_EQ(plain.chunk_capacity(), want) << what;
-    EXPECT_EQ(sync.chunk_capacity(), want) << what;
     for (std::size_t capacity : {1u, 8u, 0u}) {
       smart.set_chunk_capacity(capacity);
-      plain.set_chunk_capacity(capacity);
-      sync.set_chunk_capacity(capacity);
       const std::size_t now = capacity >= 2 ? capacity : 0;
       EXPECT_EQ(smart.chunk_capacity(), now) << what;
-      EXPECT_EQ(plain.chunk_capacity(), now) << what;
-      EXPECT_EQ(sync.chunk_capacity(), now) << what;
     }
   }
 }
 
-/// SyncFifo chunked mode: every access still synchronizes date-faithfully
-/// (end dates identical), but only one access per chunk books the
-/// per-cause sync.
-TEST(ChunkedFifo, SyncFifoChunkingBatchesSyncBooksNotDates) {
-  const auto run = [](std::size_t capacity) {
-    Kernel k;
-    SyncDomain& prod = k.create_domain({.name = "sfp", .quantum = 100_ns});
-    SyncDomain& cons = k.create_domain({.name = "sfc", .quantum = 100_ns});
-    SyncFifo<int> fifo(k, "sf_chunk", 4);
-    fifo.set_chunk_capacity(capacity);
-    ThreadOptions popts;
-    popts.domain = &prod;
-    k.spawn_thread("sf_writer", [&] {
-      for (int i = 0; i < 200; ++i) {
-        k.current_domain().inc(7_ns);
-        fifo.write(i);
-      }
-    }, popts);
-    ThreadOptions copts;
-    copts.domain = &cons;
-    k.spawn_thread("sf_reader", [&] {
-      for (int i = 0; i < 200; ++i) {
-        EXPECT_EQ(fifo.read(), i);
-        k.current_domain().inc(9_ns);
-      }
-    }, copts);
-    k.run();
-    return std::pair<Time, std::uint64_t>{
-        k.now(), prod.syncs(SyncCause::Explicit) +
-                     cons.syncs(SyncCause::Explicit)};
-  };
-  const auto [element_end, element_syncs] = run(1);
-  const auto [chunked_end, chunked_syncs] = run(8);
-  EXPECT_EQ(element_end, chunked_end);
-  EXPECT_GT(element_syncs, 0u);
-  // One booked sync per 8 accesses instead of per access (the rest run
-  // as sync_unbooked: same suspension, no per-cause entry).
-  EXPECT_LT(chunked_syncs, element_syncs / 4);
+/// What a reference channel's run must keep whatever the kernel's chunk
+/// default: every date, the switch and delta counts, and the sync books.
+struct ReferenceRun {
+  Time end;
+  std::uint64_t context_switches = 0;
+  std::uint64_t delta_cycles = 0;
+  std::uint64_t event_triggers = 0;
+  std::uint64_t sync_requests = 0;
+  std::uint64_t syncs_performed = 0;
+  std::uint64_t syncs_explicit = 0;
+  std::vector<int> order;
+};
+
+/// Two-domain SyncFifo transfer: every access synchronizes and books its
+/// sync, so the reference model's sync count stays the per-access
+/// baseline the Smart FIFO is measured against.
+ReferenceRun run_sync_fifo(std::size_t chunk_default) {
+  Kernel k(KernelConfig{.default_chunk_capacity = chunk_default});
+  SyncDomain& prod = k.create_domain({.name = "sfp", .quantum = 100_ns});
+  SyncDomain& cons = k.create_domain({.name = "sfc", .quantum = 100_ns});
+  SyncFifo<int> fifo(k, "sf_ref", 4);
+  ReferenceRun run;
+  ThreadOptions popts;
+  popts.domain = &prod;
+  k.spawn_thread("sf_writer", [&] {
+    for (int i = 0; i < 200; ++i) {
+      k.current_domain().inc(7_ns);
+      fifo.write(i);
+    }
+  }, popts);
+  ThreadOptions copts;
+  copts.domain = &cons;
+  k.spawn_thread("sf_reader", [&] {
+    for (int i = 0; i < 200; ++i) {
+      run.order.push_back(fifo.read());
+      k.current_domain().inc(9_ns);
+    }
+  }, copts);
+  k.run();
+  const KernelStats& stats = k.stats();
+  run.end = k.now();
+  run.context_switches = stats.context_switches;
+  run.delta_cycles = stats.delta_cycles;
+  run.sync_requests = stats.sync_requests;
+  run.syncs_performed = stats.syncs_performed();
+  run.syncs_explicit = stats.syncs(SyncCause::Explicit);
+  return run;
 }
 
-/// Plain kernel Fifo chunked mode: notification batching only -- data
-/// order, completion and the (untimed) end date are unchanged.
-TEST(ChunkedFifo, PlainFifoChunkingKeepsOrderAndEndDate) {
-  const auto run = [](std::size_t capacity) {
-    Kernel k;
-    Fifo<int> fifo(k, "pf_chunk", 4);
-    fifo.set_chunk_capacity(capacity);
-    std::uint64_t sum = 0;
-    k.spawn_thread("pf_writer", [&] {
-      for (int i = 0; i < 100; ++i) {
-        fifo.write(i);
-        k.wait(3_ns);
-      }
-    });
-    k.spawn_thread("pf_reader", [&] {
-      for (int i = 0; i < 100; ++i) {
-        const int v = fifo.read();
-        EXPECT_EQ(v, i);
-        sum += static_cast<std::uint64_t>(v);
-        k.wait(5_ns);
-      }
-    });
-    k.run();
-    return std::pair<Time, std::uint64_t>{k.now(), sum};
-  };
-  const auto [element_end, element_sum] = run(1);
-  const auto [chunked_end, chunked_sum] = run(16);
-  EXPECT_EQ(element_end, chunked_end);
-  EXPECT_EQ(element_sum, chunked_sum);
+/// Untimed kernel Fifo transfer: every access delta-notifies its event.
+ReferenceRun run_plain_fifo(std::size_t chunk_default) {
+  Kernel k(KernelConfig{.default_chunk_capacity = chunk_default});
+  Fifo<int> fifo(k, "pf_ref", 4);
+  ReferenceRun run;
+  k.spawn_thread("pf_writer", [&] {
+    for (int i = 0; i < 100; ++i) {
+      fifo.write(i);
+      k.wait(3_ns);
+    }
+  });
+  k.spawn_thread("pf_reader", [&] {
+    for (int i = 0; i < 100; ++i) {
+      run.order.push_back(fifo.read());
+      k.wait(5_ns);
+    }
+  });
+  k.run();
+  run.end = k.now();
+  run.delta_cycles = k.stats().delta_cycles;
+  run.event_triggers = k.stats().event_triggers;
+  return run;
+}
+
+TEST(ChunkedFifo, ReferenceFifosIgnoreTheChunkDefault) {
+  std::vector<int> expected_order(200);
+  for (int i = 0; i < 200; ++i) {
+    expected_order[i] = i;
+  }
+  const ReferenceRun sync_element = run_sync_fifo(0);
+  const ReferenceRun sync_chunked = run_sync_fifo(16);
+  EXPECT_EQ(sync_element.order, expected_order);
+  EXPECT_EQ(sync_chunked.order, expected_order);
+  EXPECT_EQ(sync_element.end, sync_chunked.end);
+  EXPECT_EQ(sync_element.context_switches, sync_chunked.context_switches);
+  EXPECT_EQ(sync_element.delta_cycles, sync_chunked.delta_cycles);
+  EXPECT_EQ(sync_element.sync_requests, sync_chunked.sync_requests);
+  EXPECT_EQ(sync_element.syncs_performed, sync_chunked.syncs_performed);
+  EXPECT_EQ(sync_element.syncs_explicit, sync_chunked.syncs_explicit);
+  // One request per access (200 writes + 200 reads): none is batched.
+  EXPECT_EQ(sync_chunked.sync_requests, 400u);
+
+  expected_order.resize(100);
+  const ReferenceRun plain_element = run_plain_fifo(0);
+  const ReferenceRun plain_chunked = run_plain_fifo(16);
+  EXPECT_EQ(plain_element.order, expected_order);
+  EXPECT_EQ(plain_chunked.order, expected_order);
+  EXPECT_EQ(plain_element.end, plain_chunked.end);
+  EXPECT_EQ(plain_element.delta_cycles, plain_chunked.delta_cycles);
+  EXPECT_EQ(plain_element.event_triggers, plain_chunked.event_triggers);
 }
 
 }  // namespace
